@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
-from math import comb
 
 import numpy as np
 
@@ -463,8 +462,9 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunC
             parser.error(f"n={cfg.n} exceeds the n <= {MAX_N} cost cap")
         if cfg.command == "verify" and cfg.trials < 1:
             parser.error("--trials must be positive")
-        if cfg.command == "maximize" and cfg.restarts < 1:
-            parser.error("--restarts must be positive")
+        tol = DEFAULT_TOL if cfg.tol is None else cfg.tol
+        if cfg.command == "verify" and not 0.0 < tol < float("inf"):
+            parser.error("--tol must be finite and positive")
     elif cfg.command == "sweep":
         if cfg.q is None or cfg.n_min is None or cfg.n_max is None:
             parser.error("sweep needs --q, --n-min and --n-max")
@@ -487,6 +487,11 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunC
             parser.error("empty range: --n-max below --n-min")
         if low < 1:
             parser.error("n must be positive")
+    if cfg.command in ("maximize", "sweep"):
+        try:
+            _ascent_config(cfg)
+        except ValueError as exc:
+            parser.error(str(exc))
     return cfg
 
 

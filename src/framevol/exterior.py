@@ -9,6 +9,12 @@ minor forms d_S(i), and residuals for the tight-frame identities
 volume identity P_I = sum of P_T over T containing I, and the
 Lagrange/complement identity P_L = P_perp over the complementary set).
 
+Every minor comes from one kernel, ``_minors``: the determinants of the
+rows of an (n, k) array over its C(n, k) ascending k-subsets.  Wedge
+coordinates and compounds are minors of a transpose, the cross product is
+star(x_1 ^ ... ^ x_{k-1}), and det(v_i, v_J) is gathered from the subset
+minors as (-1)^#{j in J : j < i} d(J u {i}).
+
 Orientation convention: d_S(i) places the owner vector first, so its
 coordinate at L is det(v_i, v_{l_1}, ..., v_{l_{k-1}}) with L ascending.
 The sign vectors of the zonotope module share the convention, which makes
@@ -55,20 +61,6 @@ class MinorVector:
     form: Form
 
 
-def _dets(mats: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of square matrices; 0 x 0 determinants are 1."""
-    if mats.shape[-1] == 0:
-        return np.ones(mats.shape[0])
-    if mats.shape[-1] == 1:
-        return mats[:, 0, 0].copy()
-    return np.linalg.det(mats)
-
-
-def _det(matrix: np.ndarray) -> float:
-    """Determinant of one square matrix with the same small-size conventions."""
-    return float(_dets(matrix[None, :, :])[0])
-
-
 @lru_cache(maxsize=None)
 def _subset_array(n: int, level: int) -> np.ndarray:
     arr = np.array(subsets0(n, level), dtype=np.intp).reshape(comb(n, level), level)
@@ -76,14 +68,37 @@ def _subset_array(n: int, level: int) -> np.ndarray:
     return arr
 
 
+def _minors(vectors: np.ndarray) -> np.ndarray:
+    """d(L) = det(vectors[L]) over the ascending k-subsets L of the n rows.
+
+    ``vectors`` is an (..., n, k) stack; the result is (..., C(n, k)) in lex
+    order.  This is the package's one minor kernel.
+    """
+    n, k = vectors.shape[-2:]
+    if k == 1:
+        # np.linalg.det goes through exp(log|x|), which can move a 1 x 1 minor by an ulp.
+        return vectors[..., 0].copy()
+    return np.linalg.det(vectors[..., _subset_array(n, k), :])
+
+
 @lru_cache(maxsize=None)
-def _member_mask(n: int, level: int) -> np.ndarray:
-    """Boolean (n, C(n,level)) table: does index i lie in the subset of that rank."""
-    mask = np.zeros((n, comb(n, level)), dtype=bool)
-    for r, sub in enumerate(subsets0(n, level)):
-        mask[list(sub), r] = True
-    mask.flags.writeable = False
-    return mask
+def _owner_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather table of det(v_i, v_J) = sign * d(J u {i}) over (k-1)-subsets J.
+
+    Entry [i, rank J] holds the rank of J u {i} among the k-subsets and the
+    sign (-1)^#{j in J : j < i}; both are 0 where i lies in J.
+    """
+    ranks = rank_table0(n, k - 1)
+    where = np.zeros((n, comb(n, k - 1)), dtype=np.intp)
+    signs = np.zeros((n, comb(n, k - 1)))
+    for r, sub in enumerate(subsets0(n, k)):
+        for p, i in enumerate(sub):
+            c = ranks[sub[:p] + sub[p + 1 :]]
+            where[i, c] = r
+            signs[i, c] = -1.0 if p % 2 else 1.0
+    where.flags.writeable = False
+    signs.flags.writeable = False
+    return where, signs
 
 
 @lru_cache(maxsize=None)
@@ -122,9 +137,7 @@ def wedge_coordinates(vectors: Sequence | np.ndarray, n: int | None = None) -> F
         raise ValueError(f"vectors live in R^{ambient}, not R^{n}")
     if ell > ambient:
         raise ValueError(f"cannot wedge {ell} vectors in R^{ambient}")
-    cols = _subset_array(ambient, ell)
-    minors = np.moveaxis(arr[:, cols], 1, 0)  # (C, ell, ell)
-    return Form(ambient, ell, _dets(minors))
+    return Form(ambient, ell, _minors(arr.T))
 
 
 def compound_matrix(matrix: np.ndarray, level: int) -> np.ndarray:
@@ -140,18 +153,13 @@ def compound_matrix(matrix: np.ndarray, level: int) -> np.ndarray:
     if not 0 <= level <= min(a, b):
         raise ValueError(f"level must lie in [0, {min(a, b)}], got {level}")
     rows = _subset_array(a, level)
-    cols = _subset_array(b, level)
-    if level == 0:
-        return np.ones((1, 1))
-    out = np.empty((len(rows), len(cols)))
+    cols = comb(b, level)
+    out = np.empty((len(rows), cols))
     # Row-chunked so the materialized minor stack stays bounded.
-    chunk = max(1, 2_000_000 // max(1, len(cols) * level * level))
+    chunk = max(1, 2_000_000 // max(1, cols * level * level))
     for start in range(0, len(rows), chunk):
         samples = m[rows[start : start + chunk]]  # (c, level, b)
-        minors = np.swapaxes(samples[:, :, cols], 1, 2)  # (c, C_cols, level, level)
-        out[start : start + chunk] = _dets(
-            minors.reshape(-1, level, level)
-        ).reshape(-1, len(cols))
+        out[start : start + chunk] = _minors(np.swapaxes(samples, 1, 2))
     return out
 
 
@@ -199,9 +207,8 @@ def wedge_forms(a: Form, b: Form) -> Form:
 def cross_product(vectors: Sequence | np.ndarray) -> np.ndarray:
     """Cross product of k-1 vectors in R^k: <x, y> = det(x_1, ..., x_{k-1}, y).
 
-    Computed as the signed (k-1)-minors of the input matrix (Laplace
-    cofactors of the appended column); degenerate input yields the zero
-    vector.
+    Computed as star(x_1 ^ ... ^ x_{k-1}); degenerate input yields the
+    zero vector.
     """
     arr = np.asarray(vectors, dtype=float)
     if arr.ndim == 1:
@@ -211,47 +218,23 @@ def cross_product(vectors: Sequence | np.ndarray) -> np.ndarray:
         raise ValueError("cross products need ambient dimension k >= 2")
     if m != k - 1:
         raise ValueError(f"expected {k - 1} vectors in R^{k}, got {m}")
-    return _cross_products_of_rows(arr[None, :, :])[0]
+    return hodge_star(wedge_coordinates(arr)).coeffs.copy()
 
 
-def _cross_products_of_rows(stacks: np.ndarray) -> np.ndarray:
-    """Batched cross products: stacks is (m, k-1, k), result is (m, k)."""
-    m, _, k = stacks.shape
-    out = np.empty((m, k))
-    cols = np.arange(k)
-    for j in range(k):
-        minors = stacks[:, :, np.delete(cols, j)]
-        sign = 1.0 if (j + 1 + k) % 2 == 0 else -1.0
-        out[:, j] = sign * _dets(minors)
-    return out
+def _owner_first_minors(minors: np.ndarray, n: int, k: int) -> np.ndarray:
+    """D[i, r] = det(v_i, v_{J_r}) with the owner row first; zero when i is in J_r.
 
-
-def _all_cross_products(vectors: np.ndarray) -> np.ndarray:
-    """Cross products over all ascending (k-1)-subsets; row r is [v_{J_r}]."""
-    n, k = vectors.shape
-    if k == 1:
-        # The empty cross product in R^1 is the unit vector: det(y) = y.
-        return np.ones((1, 1))
-    idx = _subset_array(n, k - 1)
-    return _cross_products_of_rows(vectors[idx])
-
-
-def _owner_first_minors(vectors: np.ndarray) -> np.ndarray:
-    """D[i, r] = det(v_i, v_{J_r}) with the owner row first; zero when i is in J_r."""
-    n, k = vectors.shape
-    crosses = _all_cross_products(vectors)
-    # det(v_i, v_J) = (-1)^(k-1) det(v_J, v_i) = (-1)^(k-1) <[v_J], v_i>.
-    minors = ((-1.0) ** (k - 1)) * (vectors @ crosses.T)
-    if k >= 2:
-        minors[_member_mask(n, k - 1)] = 0.0
-    return minors
+    Gathered from the subset minors d(L) of the frame (``minors``).
+    """
+    where, signs = _owner_table(n, k)
+    return signs * minors[where]
 
 
 def minor_vector(frame: Frame, i: int) -> MinorVector:
     """The (k-1)-form d_S(i): coordinate at L is det(v_i, v_L), zero when i in L."""
     if not 1 <= i <= frame.n:
         raise ValueError(f"owner index {i} out of [1, {frame.n}]")
-    minors = _owner_first_minors(frame.vectors)
+    minors = _owner_first_minors(subset_minors(frame), frame.n, frame.k)
     return MinorVector(owner=i, form=Form(frame.n, frame.k - 1, minors[i - 1]))
 
 
@@ -261,8 +244,7 @@ def subset_minors(frame: Frame) -> np.ndarray:
 
     Cached per (immutable) frame object; the returned array is read-only.
     """
-    n, k = frame.vectors.shape
-    minors = _dets(frame.vectors[_subset_array(n, k)])
+    minors = _minors(frame.vectors)
     minors.flags.writeable = False
     return minors
 
@@ -274,7 +256,10 @@ def verify_cross_tight(frame: Frame) -> float:
     rounding) exactly when the frame is tight.
     """
     _require_tight(frame)
-    crosses = _all_cross_products(frame.vectors)
+    # [v_J] is the Hodge star of row J of the (k-1)-compound, the wedge of v_J.
+    perm, signs = _hodge_table(frame.k, frame.k - 1)
+    crosses = np.empty((comb(frame.n, frame.k - 1), frame.k))
+    crosses[:, perm] = signs * compound_matrix(frame.vectors, frame.k - 1)
     return float(np.linalg.norm(crosses.T @ crosses - np.eye(frame.k)))
 
 
@@ -305,12 +290,9 @@ def volume_identity_residual(frame: Frame, index: MultiIndex) -> float:
         raise ValueError(f"index size {index.level} exceeds k={k}")
     rows = list(index.zero_based())
     sub = frame.vectors[rows]
-    gram_det = _det(sub @ sub.T)
+    gram_det = float(np.linalg.det(sub @ sub.T))
     dets = subset_minors(frame)
-    if rows:
-        containing = _member_mask(n, k)[rows].all(axis=0)
-    else:
-        containing = np.ones(len(dets), dtype=bool)
+    containing = (_subset_array(n, k)[:, :, None] == rows).any(axis=1).all(axis=1)
     total = fsum(d * d for d in dets[containing])
     return abs(gram_det - total)
 
@@ -330,9 +312,9 @@ def lagrange_residual(frame: Frame, index: MultiIndex) -> float:
     proj = gram_projection(frame)
     rows = list(index.zero_based())
     complement = sorted(set(range(frame.n)) - set(rows))
-    p_l = _det(proj[np.ix_(rows, rows)])
+    p_l = float(np.linalg.det(proj[np.ix_(rows, rows)]))
     perp = np.eye(frame.n) - proj
-    p_perp = _det(perp[np.ix_(complement, complement)])
+    p_perp = float(np.linalg.det(perp[np.ix_(complement, complement)]))
     return abs(p_l - p_perp)
 
 

@@ -5,10 +5,13 @@ invertible linear map of the whole frame and reduces to the plain zonotope
 volume on tight frames.  The ascent direction per vector is g_i - v_i,
 where g_i collects the sign-weighted cross products of the remaining
 vectors; it vanishes exactly when the first-order optimality identity
-<sigma_S(i), d_S(j)> = <v_i, v_j> holds.  Steps are retracted back to the
-tight-frame manifold by whitening, accepted only when G increases, and
-interleaved with volume-preserving pairwise rotations that can escape
-plateaus the gradient cannot see.
+<sigma_S(i), d_S(j)> = <v_i, v_j> holds.  It is computed as M V, with the
+first-order matrix M = sigma D^T - V V^T, which is g - V as V^T V = I.  Steps
+are retracted back to the tight-frame manifold by whitening, accepted only
+when G increases, and interleaved with volume-preserving pairwise rotations
+that can escape plateaus the gradient cannot see.  The subset minors of
+each retracted frame are computed once and give its volume, residual and
+direction.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import zonotope
-from .exterior import _all_cross_products, _owner_first_minors, subset_minors
+from .exterior import _minors
 from .frames import (
     Frame,
     InvalidFrameError,
@@ -36,6 +39,7 @@ RATIO_BOUND = math.sqrt(2.0) - 1.0
 
 _MAX_STEP = 4.0
 _ARMIJO = 0.25  # required fraction of the predicted first-order gain
+_RESTART_TIE = 1e-12  # restarts this close (relative) to the best volume tie
 
 
 class RatioCheck(NamedTuple):
@@ -68,15 +72,15 @@ class AscentConfig:
             raise ValueError("initial step must be positive")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtracking factor must lie in (0, 1)")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError("tolerance must be finite and positive")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
         if self.max_iterations < 1 or self.backtrack_limit < 1:
             raise ValueError("iteration and backtracking caps must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestartRecord:
     restart: int
     frame: TightFrame
@@ -87,7 +91,7 @@ class RestartRecord:
     trace: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimizationResult:
     frame: TightFrame
     volume: float
@@ -101,7 +105,7 @@ class OptimizationResult:
     config: AscentConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityRow:
     n: int
     k: int
@@ -122,23 +126,22 @@ def objective(frame: Frame) -> float:
     return zonotope.volume(frame) / math.sqrt(det)
 
 
+def _evaluate(frame: Frame) -> tuple[np.ndarray, float]:
+    """The subset minors d(L) of a frame and its volume sum_L |d(L)|."""
+    minors = _minors(frame.vectors)
+    return minors, math.fsum(np.abs(minors))
+
+
 def ascent_direction(frame: Frame) -> np.ndarray:
     """Per-vector ascent directions x_i = g_i - v_i of log G at a tight frame.
 
     g_i satisfies <g_i, y> = sum over (k-1)-subsets J avoiding i of
     sigma_S(i, J) det(y, v_J); all x_i vanish iff the frame is
-    first-order critical.
+    first-order critical.  Computed as M V with M = sigma D^T - V V^T.
     """
     _require_tight(frame)
-    vectors = frame.vectors
-    total = zonotope.volume(frame)
-    if total <= 0.0:
-        raise DegenerateFrameError("zonotope volume is zero")
-    crosses = _all_cross_products(vectors)
-    minors = _owner_first_minors(vectors)
-    sigma = zonotope._sign_matrix(minors) / total
-    g = ((-1.0) ** (frame.k - 1)) * (sigma @ crosses)
-    return g - vectors
+    minors, total = _evaluate(frame)
+    return zonotope._first_order_matrix(frame.vectors, minors, total) @ frame.vectors
 
 
 def retract(frame: Frame) -> TightFrame:
@@ -176,33 +179,38 @@ def ratio_check(frame: Frame, tol: float = 1e-9) -> RatioCheck:
 
 
 def _fixed_point_polish(
-    frame: TightFrame, residual: float, volume_floor: float, max_steps: int = 40
-) -> tuple[TightFrame, float]:
+    frame: TightFrame, mismatch: np.ndarray, volume: float, max_steps: int = 40
+) -> tuple[TightFrame, float, float]:
     """Drive the residual to the noise floor with pure t = 1 retraction steps.
 
     Near a maximizer the map S -> retract(S + ascent_direction(S)) contracts,
     and judging progress by the residual sidesteps the volume-comparison
     noise floor that limits the line search.  Iterates are kept only while
-    the residual improves and the volume stays within rounding of its floor.
+    the residual improves and the volume stays within rounding of ``volume``.
+    ``mismatch`` is the first-order matrix of ``frame``; the best frame is
+    returned with its residual and volume.
     """
-    best_frame, best_residual = frame, residual
+    volume_floor = volume * (1.0 - 1e-12)
+    best = (frame, float(np.max(np.abs(mismatch))), volume)
     current = frame
     for _ in range(max_steps):
         try:
-            current = retract(Frame(current.vectors + ascent_direction(current)))
-            value = zonotope.first_order_residual(current)
+            current = retract(Frame(current.vectors + mismatch @ current.vectors))
+            minors, current_volume = _evaluate(current)
+            mismatch = zonotope._first_order_matrix(current.vectors, minors, current_volume)
         except (InvalidFrameError, DegenerateFrameError, np.linalg.LinAlgError):
             break
-        if value < best_residual and zonotope.volume(current) >= volume_floor:
-            best_frame, best_residual = current, value
-        if value < 1e-15 or value > 10.0 * best_residual:
+        value = float(np.max(np.abs(mismatch)))
+        if value < best[1] and current_volume >= volume_floor:
+            best = (current, value, current_volume)
+        if value < 1e-15 or value > 10.0 * best[1]:
             break
-    return best_frame, best_residual
+    return best
 
 
 def _rotation_probe(
     frame: TightFrame, current: float
-) -> tuple[TightFrame, float] | None:
+) -> tuple[TightFrame, np.ndarray, float] | None:
     """Try quarter/eighth-turn rotations of the extreme-norm pair; None if no gain."""
     norms = np.sum(frame.vectors**2, axis=1)
     i = int(np.argmin(norms))
@@ -214,26 +222,27 @@ def _rotation_probe(
             candidate = retract(pairwise_rotation(frame, i + 1, j + 1, theta))
         except (InvalidFrameError, np.linalg.LinAlgError):
             continue
-        gained = zonotope.volume(candidate)
+        minors, gained = _evaluate(candidate)
         if gained > current:
-            return candidate, gained
+            return candidate, minors, gained
     return None
 
 
 def _ascend_single(start: TightFrame, cfg: AscentConfig, restart: int) -> RestartRecord:
     frame = start
-    best = zonotope.volume(frame)
+    minors, best = _evaluate(frame)
     trace = [best]
     step = cfg.initial_step
     converged = False
     iterations = 0
     for iteration in range(1, cfg.max_iterations + 1):
-        if zonotope.first_order_residual(frame) < cfg.tolerance:
+        mismatch = zonotope._first_order_matrix(frame.vectors, minors, best)
+        if np.max(np.abs(mismatch)) < cfg.tolerance:
             converged = True
             break
         iterations = iteration
         moved = False
-        direction = ascent_direction(frame)
+        direction = mismatch @ frame.vectors
         predicted = float(np.sum(direction * direction))  # d(log G)/dt at t = 0
         trial = min(step * 2.0, _MAX_STEP)
         for _ in range(cfg.backtrack_limit):
@@ -242,26 +251,25 @@ def _ascend_single(start: TightFrame, cfg: AscentConfig, restart: int) -> Restar
             except (InvalidFrameError, np.linalg.LinAlgError):
                 candidate = None
             if candidate is not None:
-                gained = zonotope.volume(candidate)
+                candidate_minors, gained = _evaluate(candidate)
                 if gained > best * (1.0 + _ARMIJO * trial * predicted):
-                    frame, best, step, moved = candidate, gained, trial, True
+                    frame, minors, best = candidate, candidate_minors, gained
+                    step, moved = trial, True
                     break
             trial *= cfg.backtrack_factor
         if not moved or iteration % cfg.rotation_interval == 0:
             probe = _rotation_probe(frame, best)
             if probe is not None:
-                frame, best = probe
+                frame, minors, best = probe
                 moved = True
         if moved:
             trace.append(best)
         else:
             break  # neither a gradient step nor a rotation improves: stalled
-    residual = zonotope.first_order_residual(frame)
+    mismatch = zonotope._first_order_matrix(frame.vectors, minors, best)
+    residual = float(np.max(np.abs(mismatch)))
     if residual > 1e-15:
-        frame, residual = _fixed_point_polish(
-            frame, residual, volume_floor=best * (1.0 - 1e-12)
-        )
-        best = zonotope.volume(frame)
+        frame, residual, best = _fixed_point_polish(frame, mismatch, best)
     converged = converged or residual < cfg.tolerance
     return RestartRecord(
         restart=restart,
@@ -278,8 +286,10 @@ def ascend(start: TightFrame, cfg: AscentConfig | None = None) -> OptimizationRe
     """Multistart first-order ascent from ``start``; restarts are seeded random frames.
 
     Restart r > 0 draws its starting tight frame with seed (cfg.seed, r).
-    Never raises on non-convergence: the best iterate is always returned
-    with its residual and convergence flag.
+    The lowest-numbered restart within a relative 1e-12 of the best volume
+    is reported, so ties at rounding level do not decide.  Never raises on
+    non-convergence: the best iterate is always returned with its residual
+    and convergence flag.
     """
     cfg = cfg or AscentConfig()
     _require_tight(start)
@@ -290,7 +300,8 @@ def ascend(start: TightFrame, cfg: AscentConfig | None = None) -> OptimizationRe
         else:
             frame = random_tight_frame(start.n, start.k, np.random.default_rng((cfg.seed, r)))
         records.append(_ascend_single(frame, cfg, restart=r))
-    best = max(records, key=lambda rec: (rec.volume, -rec.restart))
+    top = max(rec.volume for rec in records)
+    best = next(rec for rec in records if rec.volume >= top * (1.0 - _RESTART_TIE))
     norms = np.sum(best.frame.vectors**2, axis=1)
     return OptimizationResult(
         frame=best.frame,

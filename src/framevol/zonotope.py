@@ -7,6 +7,10 @@ first-order optimality residual |<sigma_S(i), d_S(j)> - <v_i, v_j>|, the
 hyperplane projection volumes of the necessary condition, the McMullen
 duality check against the complement frame, and the classical upper
 bounds for tight frames.
+
+The first-order quantities are read off the subset minors d(L): the
+owner-first minors D[i, J] = det(v_i, v_J) are gathered from them, and the
+matrix M = sigma D^T - V V^T gives the residual max |M| and the direction M V.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exterior import Form, _dets, _owner_first_minors, _subset_array, subset_minors
+from .exterior import Form, _minors, _owner_first_minors, subset_minors
 from .frames import Frame, _require_tight, complement_frame, is_tight
 
 # Minors below this fraction of the largest minor count as exact zeros for
@@ -55,25 +59,15 @@ class VolumeReport(NamedTuple):
     minors: tuple[float, ...] | None
 
 
-def _abs_minor_sum(vectors: np.ndarray) -> float:
-    """Shephard sum over all ascending subsets of size vectors.shape[1]."""
-    n, k = vectors.shape
-    if k == 0:
-        return 1.0
-    return fsum(np.abs(_dets(vectors[_subset_array(n, k)])))
-
-
 def volume(frame: Frame) -> float:
     """Zonotope volume sum_L |d_S(L)| over ascending k-subsets L."""
-    return _abs_minor_sum(frame.vectors)
+    return fsum(np.abs(_minors(frame.vectors)))
 
 
 def _sign_matrix(minors: np.ndarray) -> np.ndarray:
     """Minor signs with near-zero minors (relative threshold) snapped to 0."""
-    scale = np.max(np.abs(minors)) if minors.size else 0.0
     signs = np.sign(minors)
-    if scale > 0.0:
-        signs[np.abs(minors) < ZERO_MINOR_REL * scale] = 0.0
+    signs[np.abs(minors) < ZERO_MINOR_REL * np.max(np.abs(minors))] = 0.0
     return signs
 
 
@@ -81,24 +75,29 @@ def sign_vector(frame: Frame, i: int) -> SignVector:
     """sigma_S(i): coordinate at L is sign(det(v_i, v_L)) / F(S), zero on zero minors."""
     if not 1 <= i <= frame.n:
         raise ValueError(f"owner index {i} out of [1, {frame.n}]")
-    total = volume(frame)
+    minors = subset_minors(frame)
+    total = fsum(np.abs(minors))
     if total <= 0.0:
         raise DegenerateFrameError("zonotope volume is zero")
-    minors = _owner_first_minors(frame.vectors)
-    coeffs = _sign_matrix(minors)[i - 1] / total
+    coeffs = _sign_matrix(_owner_first_minors(minors, frame.n, frame.k))[i - 1] / total
     return SignVector(owner=i, form=Form(frame.n, frame.k - 1, coeffs), volume=total)
+
+
+def _first_order_matrix(vectors: np.ndarray, minors: np.ndarray, total: float) -> np.ndarray:
+    """M[i, j] = <sigma_S(i), d_S(j)> - <v_i, v_j> from the subset minors and their sum."""
+    if total <= 0.0:
+        raise DegenerateFrameError("zonotope volume is zero")
+    owner_first = _owner_first_minors(minors, *vectors.shape)
+    sigma = _sign_matrix(owner_first) / total
+    return sigma @ owner_first.T - vectors @ vectors.T
 
 
 def first_order_residual(frame: Frame) -> float:
     """max_{i,j} |<sigma_S(i), d_S(j)> - <v_i, v_j>|; zero at local maximizers."""
     _require_tight(frame)
-    vectors = frame.vectors
-    minors = _owner_first_minors(vectors)
-    total = fsum(np.abs(d) for d in subset_minors(frame))
-    if total <= 0.0:
-        raise DegenerateFrameError("zonotope volume is zero")
-    sigma = _sign_matrix(minors) / total
-    return float(np.max(np.abs(sigma @ minors.T - vectors @ vectors.T)))
+    minors = _minors(frame.vectors)
+    matrix = _first_order_matrix(frame.vectors, minors, fsum(np.abs(minors)))
+    return float(np.max(np.abs(matrix)))
 
 
 def _householder_complement_basis(direction: np.ndarray) -> np.ndarray:
@@ -128,7 +127,7 @@ def hyperplane_projection_volume(frame: Frame, i: int) -> float:
     if frame.k == 1:
         return 1.0  # projection onto the zero subspace is a point
     basis = _householder_complement_basis(direction)
-    return _abs_minor_sum(frame.vectors @ basis)
+    return fsum(np.abs(_minors(frame.vectors @ basis)))
 
 
 def mcmullen_check(frame: Frame) -> McMullenCheck:

@@ -127,6 +127,27 @@ def test_sweep_usage_error():
     assert run_cli(["sweep", "--q", "3", "--n-min", "3", "--n-max", "5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--q", "1", "--n-min", "3", "--n-max", "4", "--restarts", "0"],
+        ["sweep", "--q", "1", "--n-min", "3", "--n-max", "4", "--tol", "nan"],
+        ["maximize", "--n", "3", "--k", "2", "--restarts", "0"],
+        ["maximize", "--n", "3", "--k", "2", "--tol", "-1"],
+        ["maximize", "--n", "3", "--k", "2", "--tol", "nan"],
+        ["maximize", "--n", "3", "--k", "2", "--tol", "inf"],
+        ["verify", "--n", "3", "--k", "2", "--trials", "1", "--tol", "-1"],
+        ["verify", "--n", "3", "--k", "2", "--trials", "1", "--tol", "nan"],
+        ["verify", "--n", "3", "--k", "2", "--trials", "1", "--tol", "inf"],
+    ],
+)
+def test_bad_option_values_are_usage_errors(argv, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_bounds_single_pair(capsys):
     code = run_cli(["bounds", "--n", "3", "--k", "2", "--quiet"])
     captured = capsys.readouterr()

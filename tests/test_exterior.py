@@ -268,6 +268,20 @@ def test_minor_vectors_decompose_identity_on_wedge_space(rng):
     np.testing.assert_allclose(operator @ lifted, lifted, atol=1e-10)
 
 
+@pytest.mark.parametrize("n, k", [(4, 1), (5, 5), (7, 3), (9, 5)])
+def test_minor_vectors_match_direct_determinants(n, k):
+    # d_S(i) at J is det(v_i, v_J), owner first; the package gathers it from the d(L).
+    frame = random_tight_frame(n, k, np.random.default_rng((n, k)))
+    vectors = frame.vectors
+    subsets = list(combinations(range(n), k - 1))
+    for i in range(n):
+        stack = np.array([np.vstack([vectors[i], vectors[list(J)]]) for J in subsets])
+        expected = np.where([i in J for J in subsets], 0.0, np.linalg.det(stack))
+        coeffs = minor_vector(frame, i + 1).form.coeffs
+        np.testing.assert_allclose(coeffs, expected, rtol=1e-12, atol=1e-14)
+        assert np.all(coeffs[[i in J for J in subsets]] == 0.0)
+
+
 def test_minor_vector_bad_owner(mercedes):
     with pytest.raises(ValueError):
         minor_vector(mercedes, 0)

@@ -1,8 +1,10 @@
+from itertools import combinations
 from math import pi, sin, sqrt
 
 import numpy as np
 import pytest
 
+from framevol.exterior import cross_product
 from framevol.frames import (
     Frame,
     TightFrame,
@@ -23,7 +25,7 @@ from framevol.optimize import (
     stability_lower_bound,
     stability_scan,
 )
-from framevol.zonotope import first_order_residual, volume
+from framevol.zonotope import first_order_residual, sign_vector, volume
 
 # Best volumes established independently: the n=4 plane case is the exact
 # l1 maximum on the Grassmannian quadric, the n=5 case is the equally
@@ -79,6 +81,18 @@ def test_objective_gl_invariance(rng):
 def test_direction_vanishes_at_critical_frames(mercedes):
     assert np.max(np.abs(ascent_direction(mercedes))) < 1e-10
     assert np.max(np.abs(ascent_direction(TightFrame(np.eye(3))))) < 1e-14
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 4)])
+def test_direction_matches_cross_product_formula(n, k):
+    # x_i = g_i - v_i with g_i = (-1)^(k-1) sum_J sigma_S(i, J) [v_J] over (k-1)-subsets J.
+    frame = random_tight_frame(n, k, np.random.default_rng((n, k)))
+    subsets = list(combinations(range(n), k - 1))
+    crosses = np.array([cross_product(frame.vectors[list(J)]) for J in subsets])
+    g = np.array(
+        [(-1.0) ** (k - 1) * sign_vector(frame, i).form.coeffs @ crosses for i in range(1, n + 1)]
+    )
+    np.testing.assert_allclose(ascent_direction(frame), g - frame.vectors, atol=1e-12)
 
 
 def test_direction_matches_finite_differences():
@@ -222,6 +236,38 @@ def test_ascend_outputs_satisfy_maximizer_properties():
             assert gap < 10.0 * cfg.tolerance
 
 
+def test_ascend_reports_lowest_restart_among_rounding_ties():
+    # The (3, 2) maximum sqrt 3 is reached by every restart, up to the last bits.
+    start = random_tight_frame(3, 2, np.random.default_rng((1, 0)))
+    result = ascend(start, AscentConfig(restarts=20, seed=1))
+    top = max(record.volume for record in result.restarts)
+    assert all(record.volume >= top * (1.0 - 1e-12) for record in result.restarts)
+    assert result.frame is result.restarts[0].frame
+    assert result.volume == result.restarts[0].volume
+
+
+def test_ascend_evaluates_each_retracted_frame_once(monkeypatch):
+    import framevol.optimize as optimize
+
+    counts = {"det": 0, "retract": 0}
+    det, retract_frame = np.linalg.det, optimize.retract
+
+    def counting_det(a):
+        counts["det"] += 1
+        return det(a)
+
+    def counting_retract(frame):
+        counts["retract"] += 1
+        return retract_frame(frame)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    monkeypatch.setattr(optimize, "retract", counting_retract)
+    start = random_tight_frame(7, 3, np.random.default_rng((5, 0)))
+    result = ascend(start, AscentConfig(restarts=1))
+    assert result.iterations >= 5
+    assert counts["det"] <= counts["retract"] + 2  # the start, plus one spare
+
+
 def test_ascend_config_validation():
     with pytest.raises(ValueError):
         AscentConfig(initial_step=0.0)
@@ -229,8 +275,9 @@ def test_ascend_config_validation():
         AscentConfig(backtrack_factor=1.5)
     with pytest.raises(ValueError):
         AscentConfig(restarts=0)
-    with pytest.raises(ValueError):
-        AscentConfig(tolerance=-1.0)
+    for tolerance in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            AscentConfig(tolerance=tolerance)
 
 
 # ---------------------------------------------------------------- ratio check
