@@ -9,7 +9,9 @@ vectors; it vanishes exactly when the first-order optimality identity
 first-order matrix M = sigma D^T - V V^T, which is g - V as V^T V = I.  Steps
 are retracted back to the tight-frame manifold by whitening, accepted only
 when G increases, and interleaved with volume-preserving pairwise rotations
-that can escape plateaus the gradient cannot see.  The subset minors of
+that can escape plateaus the gradient cannot see.  The line search stops
+where the predicted gain sinks into the volume's rounding, so the steps it
+takes do not hang on the last bits.  The subset minors of
 each retracted frame are computed once and give its volume, residual and
 direction.
 """
@@ -40,6 +42,11 @@ RATIO_BOUND = math.sqrt(2.0) - 1.0
 _MAX_STEP = 4.0
 _ARMIJO = 0.25  # required fraction of the predicted first-order gain
 _RESTART_TIE = 1e-12  # restarts this close (relative) to the best volume tie
+# The line search tries no step whose predicted relative gain t * |x|^2 is below
+# this.  The volume's rounding spreads by about 2e-15 relative over rotations
+# of one frame at (13, 6), so smaller gains would be accepted or rejected by
+# the last bits; the residual-driven polish takes over from there.
+_GAIN_FLOOR = 1e-14
 
 
 class RatioCheck(NamedTuple):
@@ -246,6 +253,8 @@ def _ascend_single(start: TightFrame, cfg: AscentConfig, restart: int) -> Restar
         predicted = float(np.sum(direction * direction))  # d(log G)/dt at t = 0
         trial = min(step * 2.0, _MAX_STEP)
         for _ in range(cfg.backtrack_limit):
+            if trial * predicted < _GAIN_FLOOR:
+                break
             try:
                 candidate = retract(Frame(frame.vectors + trial * direction))
             except (InvalidFrameError, np.linalg.LinAlgError):

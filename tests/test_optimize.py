@@ -268,6 +268,31 @@ def test_ascend_evaluates_each_retracted_frame_once(monkeypatch):
     assert counts["det"] <= counts["retract"] + 2  # the start, plus one spare
 
 
+def test_ascend_work_does_not_hang_on_rounding(monkeypatch):
+    # The ascent commutes with rotations and row permutations, which change
+    # only the rounding.  A line search that compares volumes below their
+    # rounding would backtrack to its limit on some copies and not on others.
+    import framevol.optimize as optimize
+
+    counts = []
+    retract_frame = optimize.retract
+
+    def counting_retract(frame):
+        counts[-1] += 1
+        return retract_frame(frame)
+
+    monkeypatch.setattr(optimize, "retract", counting_retract)
+    n, k = 11, 5
+    start = random_tight_frame(n, k, np.random.default_rng((6, 0)))
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        counts.append(0)
+        result = ascend(TightFrame(start.vectors[rng.permutation(n)] @ rotation))
+        assert result.converged
+    assert max(counts) - min(counts) <= 2, counts
+
+
 def test_ascend_config_validation():
     with pytest.raises(ValueError):
         AscentConfig(initial_step=0.0)
