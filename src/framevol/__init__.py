@@ -42,7 +42,6 @@ from .optimize import (
     ascent_direction,
     determinant_expansion_check,
     objective,
-    pairwise_rotation,
     ratio_check,
     retract,
     stability_lower_bound,

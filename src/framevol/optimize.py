@@ -6,20 +6,22 @@ volume on tight frames.  The ascent direction per vector is g_i - v_i,
 where g_i collects the sign-weighted cross products of the remaining
 vectors; it vanishes exactly when the first-order optimality identity
 <sigma_S(i), d_S(j)> = <v_i, v_j> holds.  It is computed as M V, with the
-first-order matrix M = sigma D^T - V V^T, which is g - V as V^T V = I.  Steps
-are retracted back to the tight-frame manifold by whitening, accepted only
-when G increases, and interleaved with volume-preserving pairwise rotations
-that can escape plateaus the gradient cannot see.  The line search stops
-where the predicted gain sinks into the volume's rounding, so the steps it
-takes do not hang on the last bits.  The subset minors of
-each retracted frame are computed once and give its volume, residual and
-direction.
+first-order matrix M = sigma D^T - V V^T, which is g - V as V^T V = I.
+
+One loop drives the residual max |M| to zero.  While the residual is not
+below the tolerance it takes Armijo line-search steps, retracted back to the
+tight-frame manifold by whitening and accepted only when G increases by a
+fixed share of the predicted gain.  The search stops where that gain sinks
+into the volume's rounding.  From there, and once the residual is below the
+tolerance, plain t = 1 steps are judged by the residual instead, which is
+not limited by that rounding.  The subset minors of each retracted frame
+are computed once and give its volume, residual and direction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,18 +37,23 @@ from .frames import (
     random_tight_frame,
     whiten,
 )
-from .zonotope import DegenerateFrameError
 
 RATIO_BOUND = math.sqrt(2.0) - 1.0
 
+_INITIAL_STEP = 1.0
 _MAX_STEP = 4.0
+_BACKTRACK_FACTOR = 0.5
+_BACKTRACK_LIMIT = 40
+_MAX_ITERATIONS = 10_000  # line-search iterations per restart
 _ARMIJO = 0.25  # required fraction of the predicted first-order gain
 _RESTART_TIE = 1e-12  # restarts this close (relative) to the best volume tie
 # The line search tries no step whose predicted relative gain t * |x|^2 is below
 # this.  The volume's rounding spreads by about 2e-15 relative over rotations
 # of one frame at (13, 6), so smaller gains would be accepted or rejected by
-# the last bits; the residual-driven polish takes over from there.
+# the last bits; the residual-driven polish steps take over from there.
 _GAIN_FLOOR = 1e-14
+_RESIDUAL_FLOOR = 1e-15  # the rounding level of the first-order matrix
+_POLISH_SLACK = 1e-12  # relative volume loss a polish step may incur
 
 
 class RatioCheck(NamedTuple):
@@ -65,26 +72,15 @@ class DetExpansionCheck(NamedTuple):
 
 @dataclass(frozen=True)
 class AscentConfig:
-    max_iterations: int = 10_000
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
-    backtrack_limit: int = 40
     tolerance: float = 1e-8
     restarts: int = 1
     seed: int = 0
-    rotation_interval: int = 20
 
     def __post_init__(self) -> None:
-        if self.initial_step <= 0.0:
-            raise ValueError("initial step must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtracking factor must lie in (0, 1)")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError("tolerance must be finite and positive")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
-        if self.max_iterations < 1 or self.backtrack_limit < 1:
-            raise ValueError("iteration and backtracking caps must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,25 +152,6 @@ def retract(frame: Frame) -> TightFrame:
     return whiten(frame)[1]
 
 
-def pairwise_rotation(frame: Frame, i: int, j: int, theta: float) -> Frame:
-    """Rotate the pair (v_i, v_j) by theta in their index plane (1-based i, j).
-
-    The frame operator is unchanged, as is |d_S(L)| for every L containing
-    both indices.
-    """
-    if i == j:
-        raise ValueError("rotation needs two distinct indices")
-    for idx in (i, j):
-        if not 1 <= idx <= frame.n:
-            raise ValueError(f"index {idx} out of [1, {frame.n}]")
-    vectors = frame.vectors.copy()
-    vi, vj = vectors[i - 1].copy(), vectors[j - 1].copy()
-    c, s = math.cos(theta), math.sin(theta)
-    vectors[i - 1] = c * vi - s * vj
-    vectors[j - 1] = s * vi + c * vj
-    return Frame(vectors)
-
-
 def ratio_check(frame: Frame, tol: float = 1e-9) -> RatioCheck:
     """min_{i,j} |v_i|^2 / |v_j|^2 against the maximizer bound sqrt(2) - 1."""
     norms = np.sum(frame.vectors**2, axis=1)
@@ -185,101 +162,62 @@ def ratio_check(frame: Frame, tol: float = 1e-9) -> RatioCheck:
     return RatioCheck(ratio, ratio >= RATIO_BOUND - tol)
 
 
-def _fixed_point_polish(
-    frame: TightFrame, mismatch: np.ndarray, volume: float, max_steps: int = 40
-) -> tuple[TightFrame, float, float]:
-    """Drive the residual to the noise floor with pure t = 1 retraction steps.
-
-    Near a maximizer the map S -> retract(S + ascent_direction(S)) contracts,
-    and judging progress by the residual sidesteps the volume-comparison
-    noise floor that limits the line search.  Iterates are kept only while
-    the residual improves and the volume stays within rounding of ``volume``.
-    ``mismatch`` is the first-order matrix of ``frame``; the best frame is
-    returned with its residual and volume.
-    """
-    volume_floor = volume * (1.0 - 1e-12)
-    best = (frame, float(np.max(np.abs(mismatch))), volume)
-    current = frame
-    for _ in range(max_steps):
-        try:
-            current = retract(Frame(current.vectors + mismatch @ current.vectors))
-            minors, current_volume = _evaluate(current)
-            mismatch = zonotope._first_order_matrix(current.vectors, minors, current_volume)
-        except (InvalidFrameError, DegenerateFrameError, np.linalg.LinAlgError):
-            break
-        value = float(np.max(np.abs(mismatch)))
-        if value < best[1] and current_volume >= volume_floor:
-            best = (current, value, current_volume)
-        if value < 1e-15 or value > 10.0 * best[1]:
-            break
-    return best
-
-
-def _rotation_probe(
-    frame: TightFrame, current: float
+def _retract_step(
+    frame: TightFrame, direction: np.ndarray, t: float
 ) -> tuple[TightFrame, np.ndarray, float] | None:
-    """Try quarter/eighth-turn rotations of the extreme-norm pair; None if no gain."""
-    norms = np.sum(frame.vectors**2, axis=1)
-    i = int(np.argmin(norms))
-    j = int(np.argmax(norms))
-    if i == j:
+    """S + t x retracted to the tight frames, with its minors and volume; None if singular."""
+    try:
+        candidate = retract(Frame(frame.vectors + t * direction))
+    except (InvalidFrameError, np.linalg.LinAlgError):
         return None
-    for theta in (math.pi / 8.0, math.pi / 4.0):
-        try:
-            candidate = retract(pairwise_rotation(frame, i + 1, j + 1, theta))
-        except (InvalidFrameError, np.linalg.LinAlgError):
-            continue
-        minors, gained = _evaluate(candidate)
-        if gained > current:
-            return candidate, minors, gained
-    return None
+    return candidate, *_evaluate(candidate)
 
 
 def _ascend_single(start: TightFrame, cfg: AscentConfig, restart: int) -> RestartRecord:
     frame = start
     minors, best = _evaluate(frame)
-    trace = [best]
-    step = cfg.initial_step
-    converged = False
-    iterations = 0
-    for iteration in range(1, cfg.max_iterations + 1):
-        mismatch = zonotope._first_order_matrix(frame.vectors, minors, best)
-        if np.max(np.abs(mismatch)) < cfg.tolerance:
-            converged = True
-            break
-        iterations = iteration
-        moved = False
-        direction = mismatch @ frame.vectors
-        predicted = float(np.sum(direction * direction))  # d(log G)/dt at t = 0
-        trial = min(step * 2.0, _MAX_STEP)
-        for _ in range(cfg.backtrack_limit):
-            if trial * predicted < _GAIN_FLOOR:
-                break
-            try:
-                candidate = retract(Frame(frame.vectors + trial * direction))
-            except (InvalidFrameError, np.linalg.LinAlgError):
-                candidate = None
-            if candidate is not None:
-                candidate_minors, gained = _evaluate(candidate)
-                if gained > best * (1.0 + _ARMIJO * trial * predicted):
-                    frame, minors, best = candidate, candidate_minors, gained
-                    step, moved = trial, True
-                    break
-            trial *= cfg.backtrack_factor
-        if not moved or iteration % cfg.rotation_interval == 0:
-            probe = _rotation_probe(frame, best)
-            if probe is not None:
-                frame, minors, best = probe
-                moved = True
-        if moved:
-            trace.append(best)
-        else:
-            break  # neither a gradient step nor a rotation improves: stalled
     mismatch = zonotope._first_order_matrix(frame.vectors, minors, best)
     residual = float(np.max(np.abs(mismatch)))
-    if residual > 1e-15:
-        frame, residual, best = _fixed_point_polish(frame, mismatch, best)
-    converged = converged or residual < cfg.tolerance
+    trace = [best]
+    step = _INITIAL_STEP
+    iterations = 0
+    while residual > _RESIDUAL_FLOOR and iterations < _MAX_ITERATIONS:
+        direction = mismatch @ frame.vectors
+        moved = False
+        if residual >= cfg.tolerance:
+            iterations += 1
+            predicted = float(np.sum(direction * direction))  # d(log G)/dt at t = 0
+            trial = min(step * 2.0, _MAX_STEP)
+            for _ in range(_BACKTRACK_LIMIT):
+                if trial * predicted < _GAIN_FLOOR:
+                    break
+                candidate = _retract_step(frame, direction, trial)
+                if candidate is not None and candidate[2] > best * (
+                    1.0 + _ARMIJO * trial * predicted
+                ):
+                    step, moved = trial, True
+                    break
+                trial *= _BACKTRACK_FACTOR
+        if moved:
+            frame, minors, best = candidate
+            mismatch = zonotope._first_order_matrix(frame.vectors, minors, best)
+            residual = float(np.max(np.abs(mismatch)))
+            trace.append(best)
+            continue
+        # No line-search step, or the residual is below the tolerance.  Near a
+        # maximizer the t = 1 map contracts, and judging it by the residual
+        # sidesteps the volume's rounding that stops the line search.
+        candidate = _retract_step(frame, direction, 1.0)
+        if candidate is None:
+            break
+        polished = zonotope._first_order_matrix(candidate[0].vectors, *candidate[1:])
+        value = float(np.max(np.abs(polished)))
+        if not (value < residual and candidate[2] >= best * (1.0 - _POLISH_SLACK)):
+            break
+        (frame, minors, best), mismatch, residual = candidate, polished, value
+    # A critical point with a zero subset minor is degenerate: sigma has zero
+    # entries there, so the first-order identity can hold without a maximum.
+    converged = residual < cfg.tolerance and bool(np.all(zonotope._sign_matrix(minors)))
     return RestartRecord(
         restart=restart,
         frame=frame,

@@ -81,6 +81,15 @@ def test_maximize_writes_result_file(tmp_path, capsys):
     assert "volume" in captured.err  # summary goes to the diagnostic stream
 
 
+def test_maximize_echoes_ascent_config(capsys):
+    code = run_cli(
+        ["maximize", "--n", "3", "--k", "2", "--restarts", "2", "--seed", "5", "--quiet"]
+    )
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"] == {"tolerance": 1e-8, "restarts": 2, "seed": 5}
+
+
 def test_maximize_csv_row(capsys):
     code = run_cli(
         ["maximize", "--n", "3", "--k", "2", "--restarts", "2", "--seed", "1",

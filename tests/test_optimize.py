@@ -1,3 +1,4 @@
+from dataclasses import fields
 from itertools import combinations
 from math import pi, sin, sqrt
 
@@ -9,7 +10,6 @@ from framevol.frames import (
     Frame,
     TightFrame,
     frame_distance,
-    frame_operator,
     is_tight,
     random_tight_frame,
 )
@@ -19,7 +19,6 @@ from framevol.optimize import (
     ascent_direction,
     determinant_expansion_check,
     objective,
-    pairwise_rotation,
     ratio_check,
     retract,
     stability_lower_bound,
@@ -122,44 +121,6 @@ def test_retract_preserves_objective(rng):
     for _ in range(10):
         frame = Frame(rng.standard_normal((6, 3)))
         assert objective(retract(frame)) == pytest.approx(objective(frame), rel=1e-10)
-
-
-# ---------------------------------------------------------------- pairwise rotations
-
-
-def test_rotation_zero_angle_is_identity(mercedes):
-    rotated = pairwise_rotation(mercedes, 1, 2, 0.0)
-    assert np.array_equal(rotated.vectors, mercedes.vectors)
-
-
-def test_rotation_preserves_frame_operator(mercedes):
-    rotated = pairwise_rotation(mercedes, 1, 2, pi / 4.0)
-    np.testing.assert_allclose(frame_operator(rotated), np.eye(2), atol=1e-14)
-
-
-def test_rotation_quarter_turn_swaps(mercedes):
-    rotated = pairwise_rotation(mercedes, 1, 2, pi / 2.0)
-    np.testing.assert_allclose(rotated.vectors[0], -mercedes.vectors[1], atol=1e-15)
-    np.testing.assert_allclose(rotated.vectors[1], mercedes.vectors[0], atol=1e-15)
-    assert volume(rotated) == pytest.approx(volume(mercedes), rel=1e-12)
-
-
-def test_rotation_preserves_shared_minors(rng):
-    from framevol.exterior import subset_minors
-    from framevol.multiindex import subsets0
-
-    frame = random_tight_frame(5, 3, rng)
-    rotated = pairwise_rotation(frame, 1, 2, pi / 7.0)
-    before = subset_minors(frame)
-    after = subset_minors(rotated)
-    for position, sub in enumerate(subsets0(5, 3)):
-        if 0 in sub and 1 in sub:
-            assert abs(after[position]) == pytest.approx(abs(before[position]), abs=1e-12)
-
-
-def test_rotation_rejects_equal_indices(mercedes):
-    with pytest.raises(ValueError):
-        pairwise_rotation(mercedes, 2, 2, 0.3)
 
 
 # ---------------------------------------------------------------- ascend
@@ -293,11 +254,40 @@ def test_ascend_work_does_not_hang_on_rounding(monkeypatch):
     assert max(counts) - min(counts) <= 2, counts
 
 
+def test_ascend_pins_the_critical_points_reached():
+    # The start of `maximize --n 10 --k 5 --restarts 2 --seed 3`.  A change of
+    # the step rule that moves the critical point reached fails here.
+    start = random_tight_frame(10, 5, np.random.default_rng((3, 0)))
+    result = ascend(start, AscentConfig(restarts=2, seed=3))
+    volumes = [record.volume for record in result.restarts]
+    assert volumes == pytest.approx([14.045759848938328, 13.935779374549462], rel=1e-12)
+    assert [record.iterations for record in result.restarts] == [14, 16]
+    assert all(record.converged for record in result.restarts)
+
+
+@pytest.mark.parametrize(
+    "start, volume_at_stop",
+    [
+        (TightFrame(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])), 1.0),
+        (retract(Frame([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), sqrt(2.0)),
+    ],
+    ids=["zero-vector", "repeated-vector"],
+)
+def test_ascend_does_not_call_degenerate_critical_points_converged(start, volume_at_stop):
+    # Both starts satisfy the first-order identity, because sigma vanishes on
+    # their zero minors, yet neither is a maximum: that is sqrt 3.
+    result = ascend(start, AscentConfig(restarts=1))
+    assert result.residual < 1e-15
+    assert result.volume == pytest.approx(volume_at_stop, rel=1e-12)
+    assert not result.converged
+    assert not result.restarts[0].converged
+
+
+def test_ascend_config_has_only_tolerance_restarts_and_seed():
+    assert [f.name for f in fields(AscentConfig)] == ["tolerance", "restarts", "seed"]
+
+
 def test_ascend_config_validation():
-    with pytest.raises(ValueError):
-        AscentConfig(initial_step=0.0)
-    with pytest.raises(ValueError):
-        AscentConfig(backtrack_factor=1.5)
     with pytest.raises(ValueError):
         AscentConfig(restarts=0)
     for tolerance in (-1.0, 0.0, float("nan"), float("inf")):
