@@ -7,10 +7,7 @@ from .frames import (
     NotTightError,
     TightFrame,
     complement_frame,
-    frame_distance,
-    frame_from_json,
     frame_operator,
-    frame_to_json,
     gram_projection,
     is_tight,
     lift_to_basis,
@@ -20,7 +17,6 @@ from .frames import (
 )
 from .exterior import (
     Form,
-    MinorVector,
     compound_matrix,
     cross_product,
     form_inner,
@@ -34,7 +30,7 @@ from .exterior import (
     wedge_coordinates,
     wedge_forms,
 )
-from .multiindex import MultiIndex, merge_sign, multi_indices, rank, unrank
+from .multiindex import MultiIndex, merge_sign, multi_indices
 from .optimize import (
     AscentConfig,
     OptimizationResult,
@@ -50,7 +46,6 @@ from .optimize import (
 from .zonotope import (
     DegenerateFrameError,
     SignVector,
-    VolumeReport,
     bounds,
     first_order_residual,
     hyperplane_projection_volume,
@@ -58,7 +53,6 @@ from .zonotope import (
     sign_vector,
     unit_ball_volume,
     volume,
-    volume_report,
 )
 
 __version__ = "0.1.0"

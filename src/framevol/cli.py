@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from math import inf
 
 import numpy as np
 
@@ -52,23 +53,6 @@ _MIN_SLOPE = 0.05  # redraw perturbations whose predicted slope is this small
 
 class OutputError(RuntimeError):
     """Writing the data output failed."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: int | None = None
-    k: int | None = None
-    q: int | None = None
-    n_min: int | None = None
-    n_max: int | None = None
-    trials: int = 20
-    restarts: int = 8
-    seed: int = DEFAULT_SEED
-    tol: float | None = None
-    out: str | None = None
-    fmt: str = "json"
-    quiet: bool = False
 
 
 @dataclass
@@ -173,8 +157,8 @@ def _emit(text: str, out: str | None) -> None:
         raise OutputError(f"cannot write {out}: {exc}") from exc
 
 
-def _note(cfg: RunConfig, message: str) -> None:
-    if not cfg.quiet:
+def _note(args: argparse.Namespace, message: str) -> None:
+    if not args.quiet:
         print(message, file=sys.stderr)
 
 
@@ -197,32 +181,31 @@ def _csv_cell(cell) -> str:
     return str(cell)
 
 
-def _run_row(cfg_seed: int, result: OptimizationResult) -> list:
-    frame = result.frame
-    pair = bounds(frame.n, frame.k)
+def _csv_row(n: int, k: int, seed: int, run) -> list:
+    """The CSV_HEADER row of an OptimizationResult or a StabilityRow at (n, k)."""
+    pair = bounds(n, k)
     return [
-        frame.n,
-        frame.k,
-        cfg_seed,
-        result.volume,
+        n,
+        k,
+        seed,
+        run.volume,
         pair.binomial,
         pair.ball,
-        result.residual,
-        result.min_norm_sq,
-        result.max_norm_sq,
+        run.residual,
+        run.min_norm_sq,
+        run.max_norm_sq,
     ]
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    tol = cfg.tol if cfg.tol is not None else DEFAULT_TOL
-    report = run_identity_trials(cfg.n, cfg.k, cfg.trials, cfg.seed, tol)
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = run_identity_trials(args.n, args.k, args.trials, args.seed, args.tol)
     for name in report.skipped:
-        _note(cfg, f"notice: {name} skipped (n == k has no complement)")
+        _note(args, f"notice: {name} skipped (n == k has no complement)")
     for name in sorted(report.residuals):
         value = report.residuals[name]
         limit = report.thresholds[name]
         state = "ok" if value <= limit else "VIOLATION"
-        _note(cfg, f"{name:<24} max residual {value:.3e}  (tol {limit:.1e})  {state}")
+        _note(args, f"{name:<24} max residual {value:.3e}  (tol {limit:.1e})  {state}")
     doc = {
         "command": "verify",
         "n": report.n,
@@ -240,33 +223,29 @@ def cmd_verify(cfg: RunConfig) -> int:
         "skipped": list(report.skipped),
         "pass": report.passed,
     }
-    if cfg.fmt == "json":
-        _emit(_json_text(doc), cfg.out)
+    if args.fmt == "json":
+        _emit(_json_text(doc), args.out)
     else:
         rows = [
             [name, report.residuals[name], report.thresholds[name],
              report.residuals[name] <= report.thresholds[name]]
             for name in sorted(report.residuals)
         ]
-        _emit(_csv_text("identity,max_residual,tolerance,pass", rows), cfg.out)
+        _emit(_csv_text("identity,max_residual,tolerance,pass", rows), args.out)
     return 0 if report.passed else 1
 
 
-def _ascent_config(cfg: RunConfig) -> AscentConfig:
-    return AscentConfig(
-        tolerance=cfg.tol if cfg.tol is not None else 1e-8,
-        restarts=cfg.restarts,
-        seed=cfg.seed,
-    )
+def _ascent_config(args: argparse.Namespace) -> AscentConfig:
+    return AscentConfig(tolerance=args.tol, restarts=args.restarts, seed=args.seed)
 
 
-def _result_document(cfg: RunConfig, result: OptimizationResult) -> dict:
+def _result_document(args: argparse.Namespace, result: OptimizationResult) -> dict:
     pair = bounds(result.frame.n, result.frame.k)
     return {
-        "command": cfg.command,
+        "command": args.command,
         "n": result.frame.n,
         "k": result.frame.k,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "config": asdict(result.config),
         "volume": result.volume,
         "bound_binomial": pair.binomial,
@@ -293,85 +272,72 @@ def _result_document(cfg: RunConfig, result: OptimizationResult) -> dict:
     }
 
 
-def cmd_maximize(cfg: RunConfig) -> int:
-    start = random_tight_frame(cfg.n, cfg.k, np.random.default_rng((cfg.seed, 0)))
-    result = ascend(start, _ascent_config(cfg))
+def cmd_maximize(args: argparse.Namespace) -> int:
+    start = random_tight_frame(args.n, args.k, np.random.default_rng((args.seed, 0)))
+    result = ascend(start, _ascent_config(args))
     if not result.converged:
         print(
             f"warning: best restart stalled at residual {result.residual:.3e}",
             file=sys.stderr,
         )
-    pair = bounds(cfg.n, cfg.k)
-    _note(cfg, f"volume         {result.volume:.9g}")
-    _note(cfg, f"bound sqrt(C)  {pair.binomial:.9g}")
-    _note(cfg, f"gap            {pair.binomial - result.volume:.9g}")
+    pair = bounds(args.n, args.k)
+    _note(args, f"volume         {result.volume:.9g}")
+    _note(args, f"bound sqrt(C)  {pair.binomial:.9g}")
+    _note(args, f"gap            {pair.binomial - result.volume:.9g}")
     _note(
-        cfg,
+        args,
         f"norm spread    [{result.min_norm_sq:.9g}, {result.max_norm_sq:.9g}]"
         f"  (min ratio {result.ratio.min_ratio:.9g})",
     )
-    _note(cfg, f"residual       {result.residual:.3e}")
-    if cfg.fmt == "json":
-        _emit(_json_text(_result_document(cfg, result)), cfg.out)
+    _note(args, f"residual       {result.residual:.3e}")
+    if args.fmt == "json":
+        _emit(_json_text(_result_document(args, result)), args.out)
     else:
-        _emit(_csv_text(CSV_HEADER, [_run_row(cfg.seed, result)]), cfg.out)
+        _emit(_csv_text(CSV_HEADER, [_csv_row(args.n, args.k, args.seed, result)]), args.out)
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    rows = stability_scan(cfg.q, cfg.n_min, cfg.n_max, _ascent_config(cfg))
-    _note(cfg, f"{'n':>3} {'k':>3} {'volume':>14} {'ratio':>12} {'bound':>12}")
+def cmd_sweep(args: argparse.Namespace) -> int:
+    rows = stability_scan(args.q, args.n_min, args.n_max, _ascent_config(args))
+    _note(args, f"{'n':>3} {'k':>3} {'volume':>14} {'ratio':>12} {'bound':>12}")
     for row in rows:
         _note(
-            cfg,
+            args,
             f"{row.n:>3} {row.k:>3} {row.volume:>14.9g} {row.ratio:>12.9g}"
             f" {row.lower_bound:>12.9g}",
         )
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "command": "sweep",
-            "q": cfg.q,
-            "seed": cfg.seed,
-            "rows": [asdict(row) | {"seed": cfg.seed} for row in rows],
+            "q": args.q,
+            "seed": args.seed,
+            "rows": [asdict(row) | {"seed": args.seed} for row in rows],
         }
-        _emit(_json_text(doc), cfg.out)
+        _emit(_json_text(doc), args.out)
     else:
-        table = [
-            [
-                row.n,
-                row.k,
-                cfg.seed,
-                row.volume,
-                bounds(row.n, row.k).binomial,
-                bounds(row.n, row.k).ball,
-                row.residual,
-                row.min_norm_sq,
-                row.max_norm_sq,
-            ]
-            for row in rows
-        ]
-        _emit(_csv_text(CSV_HEADER, table), cfg.out)
+        table = [_csv_row(row.n, row.k, args.seed, row) for row in rows]
+        _emit(_csv_text(CSV_HEADER, table), args.out)
     return 0
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    if cfg.n is not None:
-        ns = [cfg.n]
+def cmd_bounds(args: argparse.Namespace) -> int:
+    if args.n is not None:
+        ns = [args.n]
     else:
-        ns = list(range(cfg.n_min, cfg.n_max + 1))
+        ns = list(range(args.n_min, args.n_max + 1))
     rows = []
     for n in ns:
-        ks = [cfg.k] if cfg.k is not None else list(range(1, n + 1))
+        ks = [args.k] if args.k is not None else list(range(1, n + 1))
         for k in ks:
             if not 1 <= k <= n:
                 continue
             pair = bounds(n, k)
             rows.append([n, k, pair.binomial, pair.ball, pair.ball < pair.binomial])
-    _note(cfg, f"{'n':>3} {'k':>3} {'sqrt(C(n,k))':>14} {'ball bound':>14}")
+    _note(args, f"{'n':>3} {'k':>3} {'sqrt(C(n,k))':>14} {'ball bound':>14}")
     for n, k, binomial, ball, flagged in rows:
         marker = "  (ball < binomial)" if flagged else ""
-        _note(cfg, f"{n:>3} {k:>3} {binomial:>14.9g} {ball:>14.9g}{marker}")
-    if cfg.fmt == "json":
+        _note(args, f"{n:>3} {k:>3} {binomial:>14.9g} {ball:>14.9g}{marker}")
+    if args.fmt == "json":
         doc = {
             "command": "bounds",
             "rows": [
@@ -385,13 +351,24 @@ def cmd_bounds(cfg: RunConfig) -> int:
                 for n, k, binomial, ball, flagged in rows
             ],
         }
-        _emit(_json_text(doc), cfg.out)
+        _emit(_json_text(doc), args.out)
     else:
         _emit(
             _csv_text("n,k,bound_binomial,bound_ball,ball_below_binomial", rows),
-            cfg.out,
+            args.out,
         )
     return 0
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy takes only non-negative integer seeds."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,9 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master RNG seed")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="write data output to this path")
         p.add_argument(
             "--format", dest="fmt", choices=("json", "csv"), default="json",
@@ -411,88 +386,75 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--quiet", action="store_true", help="suppress diagnostics")
 
+    def add_run(p: argparse.ArgumentParser, tol: float) -> None:
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="master RNG seed")
+        p.add_argument("--tol", type=float, default=tol, help=f"tolerance (default {tol:g})")
+        add_output(p)
+
     verify = sub.add_parser("verify", help="run the identity suite on random tight frames")
     verify.add_argument("--n", type=int, required=True)
     verify.add_argument("--k", type=int, required=True)
     verify.add_argument("--trials", type=int, default=20)
-    add_common(verify)
+    add_run(verify, DEFAULT_TOL)
 
     maximize = sub.add_parser("maximize", help="maximize the zonotope volume at (n, k)")
     maximize.add_argument("--n", type=int, required=True)
     maximize.add_argument("--k", type=int, required=True)
     maximize.add_argument("--restarts", type=int, default=8)
-    add_common(maximize)
+    add_run(maximize, AscentConfig.tolerance)
 
     sweep = sub.add_parser("sweep", help="stability scan at codimension q")
     sweep.add_argument("--q", type=int, required=True)
     sweep.add_argument("--n-min", dest="n_min", type=int, required=True)
     sweep.add_argument("--n-max", dest="n_max", type=int, required=True)
     sweep.add_argument("--restarts", type=int, default=6)
-    add_common(sweep)
+    add_run(sweep, AscentConfig.tolerance)
 
     bound = sub.add_parser("bounds", help="print projection volume bounds")
     bound.add_argument("--n", type=int, default=None)
     bound.add_argument("--k", type=int, default=None)
     bound.add_argument("--n-min", dest="n_min", type=int, default=None)
     bound.add_argument("--n-max", dest="n_max", type=int, default=None)
-    add_common(bound)
+    add_output(bound)
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        k=getattr(args, "k", None),
-        q=getattr(args, "q", None),
-        n_min=getattr(args, "n_min", None),
-        n_max=getattr(args, "n_max", None),
-        trials=getattr(args, "trials", 20),
-        restarts=getattr(args, "restarts", 8),
-        seed=args.seed,
-        tol=args.tol,
-        out=args.out,
-        fmt=args.fmt,
-        quiet=args.quiet,
-    )
-    if cfg.command in ("verify", "maximize"):
-        if not 1 <= cfg.k <= cfg.n:
-            parser.error(f"need 1 <= k <= n, got n={cfg.n}, k={cfg.k}")
-        if cfg.n > MAX_N:
-            parser.error(f"n={cfg.n} exceeds the n <= {MAX_N} cost cap")
-        if cfg.command == "verify" and cfg.trials < 1:
+def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    if args.command in ("verify", "maximize"):
+        if not 1 <= args.k <= args.n:
+            parser.error(f"need 1 <= k <= n, got n={args.n}, k={args.k}")
+        if args.n > MAX_N:
+            parser.error(f"n={args.n} exceeds the n <= {MAX_N} cost cap")
+    if args.command == "verify":
+        if args.trials < 1:
             parser.error("--trials must be positive")
-        tol = DEFAULT_TOL if cfg.tol is None else cfg.tol
-        if cfg.command == "verify" and not 0.0 < tol < float("inf"):
+        if not 0.0 < args.tol < inf:
             parser.error("--tol must be finite and positive")
-    elif cfg.command == "sweep":
-        if cfg.q is None or cfg.n_min is None or cfg.n_max is None:
-            parser.error("sweep needs --q, --n-min and --n-max")
-        if not 0 < cfg.q < cfg.n_min:
-            parser.error(f"need 0 < q < n-min, got q={cfg.q}, n-min={cfg.n_min}")
-        if cfg.n_max < cfg.n_min:
+    elif args.command == "sweep":
+        if not 0 < args.q < args.n_min:
+            parser.error(f"need 0 < q < n-min, got q={args.q}, n-min={args.n_min}")
+        if args.n_max < args.n_min:
             parser.error("empty range: --n-max below --n-min")
-        if cfg.n_max > MAX_N:
-            parser.error(f"n-max={cfg.n_max} exceeds the n <= {MAX_N} cost cap")
-    elif cfg.command == "bounds":
-        if cfg.n is None and (cfg.n_min is None or cfg.n_max is None):
+        if args.n_max > MAX_N:
+            parser.error(f"n-max={args.n_max} exceeds the n <= {MAX_N} cost cap")
+    elif args.command == "bounds":
+        if args.n is None and (args.n_min is None or args.n_max is None):
             parser.error("bounds needs --n or both --n-min and --n-max")
-        top = cfg.n if cfg.n is not None else cfg.n_max
-        low = cfg.n if cfg.n is not None else cfg.n_min
+        top = args.n if args.n is not None else args.n_max
+        low = args.n if args.n is not None else args.n_min
         if top > MAX_N:
             parser.error(f"n={top} exceeds the n <= {MAX_N} cost cap")
-        if cfg.n is not None and cfg.k is not None and not 1 <= cfg.k <= cfg.n:
-            parser.error(f"need 1 <= k <= n, got n={cfg.n}, k={cfg.k}")
-        if cfg.n is None and cfg.n_max < cfg.n_min:
+        if args.k is not None and not 1 <= args.k <= top:
+            parser.error(f"--k must lie in [1, {top}], got {args.k}")
+        if args.n is None and args.n_max < args.n_min:
             parser.error("empty range: --n-max below --n-min")
         if low < 1:
             parser.error("n must be positive")
-    if cfg.command in ("maximize", "sweep"):
+    if args.command in ("maximize", "sweep"):
         try:
-            _ascent_config(cfg)
+            _ascent_config(args)
         except ValueError as exc:
             parser.error(str(exc))
-    return cfg
 
 
 _COMMANDS = {
@@ -505,9 +467,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    cfg = _validate(parser, parser.parse_args(argv))
+    args = parser.parse_args(argv)
+    _validate(parser, args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,6 +33,10 @@ import numpy as np
 from .frames import Frame, _require_tight, gram_projection
 from .multiindex import MultiIndex, merge_sign, rank_table0, subsets0
 
+# Basis pairs and random form pairs per level checked by hodge_defining_residual.
+_HODGE_PAIR_LIMIT = 20_000
+_HODGE_DENSE_TRIALS = 4
+
 
 @dataclass(frozen=True)
 class Form:
@@ -51,14 +55,6 @@ class Form:
             raise ValueError(f"expected {expected} coefficients, got shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-
-
-@dataclass(frozen=True)
-class MinorVector:
-    """The (k-1)-form d_S(i) of a frame together with its owner index (1-based)."""
-
-    owner: int
-    form: Form
 
 
 @lru_cache(maxsize=None)
@@ -117,24 +113,15 @@ def _hodge_table(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, signs
 
 
-def wedge_coordinates(vectors: Sequence | np.ndarray, n: int | None = None) -> Form:
+def wedge_coordinates(vectors: Sequence | np.ndarray) -> Form:
     """x_1 ^ ... ^ x_l as a Form: the coordinate at L is the minor det(x_i[L]).
 
-    ``vectors`` are rows of an (l, n) array; ``n`` may be given explicitly
-    for the degenerate l = 0 case.
+    ``vectors`` are rows of an (l, n) array.
     """
     arr = np.asarray(vectors, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    if arr.size == 0:
-        if n is None and arr.ndim == 2 and arr.shape[1] > 0:
-            n = arr.shape[1]
-        if n is None:
-            raise ValueError("ambient dimension required for an empty wedge")
-        return Form(n, 0, np.ones(1))
     ell, ambient = arr.shape
-    if n is not None and n != ambient:
-        raise ValueError(f"vectors live in R^{ambient}, not R^{n}")
     if ell > ambient:
         raise ValueError(f"cannot wedge {ell} vectors in R^{ambient}")
     return Form(ambient, ell, _minors(arr.T))
@@ -230,12 +217,12 @@ def _owner_first_minors(minors: np.ndarray, n: int, k: int) -> np.ndarray:
     return signs * minors[where]
 
 
-def minor_vector(frame: Frame, i: int) -> MinorVector:
+def minor_vector(frame: Frame, i: int) -> Form:
     """The (k-1)-form d_S(i): coordinate at L is det(v_i, v_L), zero when i in L."""
     if not 1 <= i <= frame.n:
         raise ValueError(f"owner index {i} out of [1, {frame.n}]")
     minors = _owner_first_minors(subset_minors(frame), frame.n, frame.k)
-    return MinorVector(owner=i, form=Form(frame.n, frame.k - 1, minors[i - 1]))
+    return Form(frame.n, frame.k - 1, minors[i - 1])
 
 
 @lru_cache(maxsize=128)
@@ -319,18 +306,16 @@ def lagrange_residual(frame: Frame, index: MultiIndex) -> float:
 
 
 @lru_cache(maxsize=None)
-def hodge_defining_residual(
-    n: int, exhaustive_limit: int = 20_000, seed: int = 0, dense_trials: int = 4
-) -> float:
+def hodge_defining_residual(n: int) -> float:
     """Max deviation of a ^ star(b) = <a, b> e_[n] over form pairs in R^n.
 
     Basis pairs are checked exhaustively per level while C(n, level)^2 stays
-    under ``exhaustive_limit``; beyond that all diagonal pairs plus a seeded
+    under ``_HODGE_PAIR_LIMIT``; beyond that all diagonal pairs plus a seeded
     sample of off-diagonal pairs are used.  Seeded dense random forms are
     checked at every level.  The left side goes through the generic wedge
     product, so the check is independent of the star's internal table.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     top = comb(n, n) - 1  # rank of e_[n] in the one-dimensional top level
     worst = 0.0
     for level in range(n + 1):
@@ -343,18 +328,18 @@ def hodge_defining_residual(
             left = wedge_forms(a, hodge_star(b)).coeffs[top]
             return abs(left - (1.0 if ra == rb else 0.0))
 
-        if count * count <= exhaustive_limit:
+        if count * count <= _HODGE_PAIR_LIMIT:
             pairs = ((ra, rb) for ra in range(count) for rb in range(count))
         else:
             sampled = zip(
-                rng.integers(0, count, size=exhaustive_limit),
-                rng.integers(0, count, size=exhaustive_limit),
+                rng.integers(0, count, size=_HODGE_PAIR_LIMIT),
+                rng.integers(0, count, size=_HODGE_PAIR_LIMIT),
             )
             pairs = [(r, r) for r in range(count)] + [(int(a), int(b)) for a, b in sampled]
         for ra, rb in pairs:
             worst = max(worst, pair_residual(ra, rb))
 
-        for _ in range(dense_trials):
+        for _ in range(_HODGE_DENSE_TRIALS):
             a = Form(n, level, rng.standard_normal(count))
             b = Form(n, level, rng.standard_normal(count))
             left = wedge_forms(a, hodge_star(b)).coeffs[top]

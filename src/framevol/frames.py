@@ -5,13 +5,12 @@ of an (n, k) array.  A tight frame additionally satisfies
 sum_i v_i v_i^T = I_k; equivalently its k x n matrix is a sub-matrix of an
 orthogonal matrix of order n.  This module provides the frame operator,
 whitening to a tight frame, the Gram projection, lifting to an orthonormal
-basis of R^n, complement frames, the frame metric, seeded random tight
-frames, and a JSON document format.
+basis of R^n, complement frames, seeded random tight frames, and the JSON
+document of a frame.
 """
 
 from __future__ import annotations
 
-import json
 from math import sqrt
 from typing import NamedTuple
 
@@ -80,15 +79,17 @@ class Frame:
 
 
 class TightFrame(Frame):
-    """Frame with sum_i v_i v_i^T = I_k within ``tol`` in Frobenius norm."""
+    """Frame with sum_i v_i v_i^T = I_k within ``DEFAULT_TIGHT_TOL`` in Frobenius norm."""
 
     __slots__ = ()
 
-    def __init__(self, vectors, tol: float = DEFAULT_TIGHT_TOL) -> None:
+    def __init__(self, vectors) -> None:
         super().__init__(vectors)
-        residual = float(np.linalg.norm(self.vectors.T @ self.vectors - np.eye(self.k)))
-        if residual > tol:
-            raise NotTightError(f"tightness residual {residual:.3e} exceeds {tol:.1e}")
+        check = is_tight(self)
+        if not check.ok:
+            raise NotTightError(
+                f"tightness residual {check.residual:.3e} exceeds {DEFAULT_TIGHT_TOL:.1e}"
+            )
 
 
 def frame_operator(frame: Frame) -> np.ndarray:
@@ -103,9 +104,9 @@ def is_tight(frame: Frame, tol: float = DEFAULT_TIGHT_TOL) -> TightnessCheck:
     return TightnessCheck(residual <= tol, residual)
 
 
-def _require_tight(frame: Frame, tol: float = DEFAULT_TIGHT_TOL) -> None:
+def _require_tight(frame: Frame) -> None:
     if not isinstance(frame, TightFrame):
-        check = is_tight(frame, tol)
+        check = is_tight(frame)
         if not check.ok:
             raise NotTightError(f"tight frame required, residual {check.residual:.3e}")
 
@@ -125,13 +126,13 @@ def whiten(frame: Frame) -> tuple[np.ndarray, TightFrame]:
     return b, TightFrame(frame.vectors @ b)
 
 
-def gram_projection(frame: Frame, tol: float = DEFAULT_TIGHT_TOL) -> np.ndarray:
+def gram_projection(frame: Frame) -> np.ndarray:
     """Gram matrix P[i, j] = <v_i, v_j> of a tight frame.
 
     For tight frames this is the matrix of the orthogonal projection of R^n
     onto the row space of the frame matrix: symmetric, idempotent, trace k.
     """
-    _require_tight(frame, tol)
+    _require_tight(frame)
     return frame.vectors @ frame.vectors.T
 
 
@@ -171,22 +172,14 @@ def complement_frame(frame: Frame) -> TightFrame:
     return TightFrame(u[frame.k:].T)
 
 
-def frame_distance(first: Frame, second: Frame) -> float:
-    """sqrt(sum_i |v_i - w_i|^2) for frames of identical shape."""
-    if first.vectors.shape != second.vectors.shape:
-        raise ValueError(
-            f"shape mismatch: {first.vectors.shape} vs {second.vectors.shape}"
-        )
-    return float(np.linalg.norm(first.vectors - second.vectors))
-
-
 def random_tight_frame(n: int, k: int, seed: int | np.random.Generator) -> TightFrame:
     """Seed-deterministic tight frame: whitened columns of a Gaussian k x n matrix."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     for _ in range(_RANDOM_RETRIES):
-        sample = rng.standard_normal((k, n))
-        if np.linalg.matrix_rank(sample) == k:
-            return whiten(Frame(sample.T))[1]
+        try:
+            return whiten(Frame(rng.standard_normal((k, n)).T))[1]
+        except (InvalidFrameError, NotTightError):  # singular or too ill-conditioned to whiten
+            pass
     raise InvalidFrameError(f"failed to sample a spanning {k} x {n} frame")
 
 
@@ -197,24 +190,6 @@ def frame_document(frame: Frame) -> dict:
         "k": frame.k,
         "vectors": [[float(x) for x in row] for row in frame.vectors],
     }
-
-
-def frame_to_json(frame: Frame) -> str:
-    """Serialize to the frame JSON document; floats round-trip exactly."""
-    return json.dumps(frame_document(frame))
-
-
-def frame_from_json(text: str) -> Frame:
-    """Parse a frame JSON document (inverse of :func:`frame_to_json`)."""
-    doc = json.loads(text)
-    try:
-        n, k, vectors = int(doc["n"]), int(doc["k"]), doc["vectors"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed frame document: {exc}") from exc
-    arr = np.asarray(vectors, dtype=float)
-    if arr.shape != (n, k):
-        raise ValueError(f"frame document claims shape ({n}, {k}), vectors are {arr.shape}")
-    return Frame(arr)
 
 
 def mercedes_frame() -> TightFrame:

@@ -1,9 +1,9 @@
 """Lexicographic ranking of index subsets and permutation merge signs.
 
 Subsets of [n] = {1, ..., n} are kept strictly ascending and numbered by
-their position in lexicographic order.  Ranks are computed with the
-combinatorial number system, so no lookup tables are needed; the rest of
-the package builds its minor/coefficient bookkeeping on top of these.
+their position in lexicographic order.  Every rank comes from the cached
+lookup ``rank_table0``, built by enumerating the subsets in that order; the
+rest of the package builds its minor/coefficient bookkeeping on top of it.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 from typing import Iterable, Sequence
 
 
@@ -41,30 +40,6 @@ class MultiIndex:
 
     def zero_based(self) -> tuple[int, ...]:
         return tuple(e - 1 for e in self.elements)
-
-
-def rank(index: MultiIndex) -> int:
-    """Zero-based lex position of ``index`` among all ``level``-subsets of [n]."""
-    n, ell = index.n, index.level
-    r = comb(n, ell) - 1
-    for j, c in enumerate(index.elements, start=1):
-        r -= comb(n - c, ell - j + 1)
-    return r
-
-
-def unrank(r: int, n: int, level: int) -> MultiIndex:
-    """Subset of [n] at zero-based lex position ``r``; inverse of :func:`rank`."""
-    if not 0 <= r < comb(n, level):
-        raise ValueError(f"rank {r} out of range [0, C({n},{level}))")
-    elements = []
-    c = 1
-    for j in range(level):
-        while (block := comb(n - c, level - j - 1)) <= r:
-            r -= block
-            c += 1
-        elements.append(c)
-        c += 1
-    return MultiIndex(tuple(elements), n)
 
 
 def merge_sign(left: MultiIndex | Sequence[int], right: MultiIndex | Sequence[int]) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +54,7 @@ _RESTART_TIE = 1e-12  # restarts this close (relative) to the best volume tie
 _GAIN_FLOOR = 1e-14
 _RESIDUAL_FLOOR = 1e-15  # the rounding level of the first-order matrix
 _POLISH_SLACK = 1e-12  # relative volume loss a polish step may incur
+_EXPANSION_STEPS = (1e-3, 1e-4, 1e-5)  # step sizes t of determinant_expansion_check
 
 
 class RatioCheck(NamedTuple):
@@ -304,24 +305,20 @@ def stability_scan(
     return tuple(rows)
 
 
-def determinant_expansion_check(
-    frame: TightFrame,
-    directions: np.ndarray,
-    ts: Sequence[float] = (1e-3, 1e-4, 1e-5),
-) -> DetExpansionCheck:
+def determinant_expansion_check(frame: TightFrame, directions: np.ndarray) -> DetExpansionCheck:
     """Check det A(t) = 1 + 2 t sum_i <x_i, v_i> + O(t^2) along v_i -> v_i + t x_i.
 
-    A quadratic polynomial is fitted through det A(t) - 1 at the given step
-    sizes; its linear coefficient must match the predicted slope, and the
-    remainder after removing the predicted slope must scale like t^2 (the
-    reported ratios |remainder| / t^2 stay bounded).
+    A quadratic polynomial is fitted through det A(t) - 1 at the step sizes
+    ``_EXPANSION_STEPS``; its linear coefficient must match the predicted
+    slope, and the remainder after removing the predicted slope must scale
+    like t^2 (the reported ratios |remainder| / t^2 stay bounded).
     """
     _require_tight(frame)
     directions = np.asarray(directions, dtype=float)
     if directions.shape != frame.vectors.shape:
         raise ValueError("directions must match the frame shape")
     expected = 2.0 * float(np.sum(directions * frame.vectors))
-    ts = np.asarray(ts, dtype=float)
+    ts = np.array(_EXPANSION_STEPS)
     values = np.array(
         [
             float(np.linalg.det(frame_operator(Frame(frame.vectors + t * directions))))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exterior import Form, _minors, _owner_first_minors, subset_minors
-from .frames import Frame, _require_tight, complement_frame, is_tight
+from .frames import Frame, _require_tight, complement_frame
 
 # Minors below this fraction of the largest minor count as exact zeros for
 # sign purposes; maximizers have all minors bounded away from zero, so the
@@ -48,15 +48,6 @@ class McMullenCheck(NamedTuple):
 class BoundPair(NamedTuple):
     binomial: float
     ball: float
-
-
-class VolumeReport(NamedTuple):
-    n: int
-    k: int
-    volume: float
-    dual_volume: float | None
-    bounds: BoundPair
-    minors: tuple[float, ...] | None
 
 
 def volume(frame: Frame) -> float:
@@ -157,21 +148,3 @@ def bounds(n: int, k: int) -> BoundPair:
     )
     return BoundPair(binomial, ball)
 
-
-def volume_report(frame: Frame, include_minors: bool = False) -> VolumeReport:
-    """Volume, dual volume (when n > k), bounds, and optionally the raw minors."""
-    primal = volume(frame)
-    dual = None
-    if frame.n > frame.k and is_tight(frame).ok:
-        dual = mcmullen_check(frame).dual_volume
-    minors = None
-    if include_minors:
-        minors = tuple(float(abs(d)) for d in subset_minors(frame))
-    return VolumeReport(
-        n=frame.n,
-        k=frame.k,
-        volume=primal,
-        dual_volume=dual,
-        bounds=bounds(frame.n, frame.k),
-        minors=minors,
-    )

@@ -205,7 +205,7 @@ def test_criterion_6_first_order_identities_at_optima(maximizer_runs):
         for i in range(1, n + 1):
             sigma = sign_vector(frame, i)
             for j in range(1, n + 1):
-                lhs = form_inner(sigma.form, minor_vector(frame, j).form)
+                lhs = form_inner(sigma.form, minor_vector(frame, j))
                 worst_sigma = max(worst_sigma, abs(lhs - vectors[i - 1] @ vectors[j - 1]))
             projected = hyperplane_projection_volume(frame, i)
             expected = float(np.linalg.norm(vectors[i - 1])) * total

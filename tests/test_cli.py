@@ -148,6 +148,12 @@ def test_sweep_usage_error():
         ["verify", "--n", "3", "--k", "2", "--trials", "1", "--tol", "-1"],
         ["verify", "--n", "3", "--k", "2", "--trials", "1", "--tol", "nan"],
         ["verify", "--n", "3", "--k", "2", "--trials", "1", "--tol", "inf"],
+        ["verify", "--n", "3", "--k", "2", "--trials", "1", "--seed", "-1"],
+        ["maximize", "--n", "3", "--k", "2", "--restarts", "1", "--seed", "-1"],
+        ["sweep", "--q", "1", "--n-min", "3", "--n-max", "4", "--seed", "-1"],
+        ["bounds", "--n-min", "2", "--n-max", "4", "--k", "0"],
+        ["bounds", "--n-min", "2", "--n-max", "4", "--k", "9"],
+        ["bounds", "--n-min", "2", "--n-max", "4", "--seed", "1"],
     ],
 )
 def test_bad_option_values_are_usage_errors(argv, capsys):

@@ -237,14 +237,13 @@ def test_cross_product_validation():
 def test_minor_vector_standard_basis():
     frame = TightFrame(np.eye(2))
     d1 = minor_vector(frame, 1)
-    np.testing.assert_array_equal(d1.form.coeffs, [0.0, 1.0])  # basis {1}, {2}
-    assert d1.owner == 1
+    np.testing.assert_array_equal(d1.coeffs, [0.0, 1.0])  # basis {1}, {2}
 
 
 def test_minor_vector_inner_products_match_vectors(mercedes):
     for i in range(1, 4):
         for j in range(1, 4):
-            lhs = form_inner(minor_vector(mercedes, i).form, minor_vector(mercedes, j).form)
+            lhs = form_inner(minor_vector(mercedes, i), minor_vector(mercedes, j))
             rhs = mercedes.vectors[i - 1] @ mercedes.vectors[j - 1]
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -253,7 +252,7 @@ def test_minor_vector_owner_coordinates_vanish(rng):
     frame = random_tight_frame(5, 3, rng)
     subsets = list(combinations(range(1, 6), 2))
     for i in range(1, 6):
-        coeffs = minor_vector(frame, i).form.coeffs
+        coeffs = minor_vector(frame, i).coeffs
         for position, subset in enumerate(subsets):
             if i in subset:
                 assert coeffs[position] == 0.0
@@ -263,7 +262,7 @@ def test_minor_vectors_decompose_identity_on_wedge_space(rng):
     # sum_i d_S(i) (x) d_S(i) acts as the identity on the range of compound(P, k-1)
     frame = random_tight_frame(5, 3, rng)
     lifted = compound_matrix(gram_projection(frame), 2)
-    stacked = np.vstack([minor_vector(frame, i).form.coeffs for i in range(1, 6)])
+    stacked = np.vstack([minor_vector(frame, i).coeffs for i in range(1, 6)])
     operator = stacked.T @ stacked
     np.testing.assert_allclose(operator @ lifted, lifted, atol=1e-10)
 
@@ -277,7 +276,7 @@ def test_minor_vectors_match_direct_determinants(n, k):
     for i in range(n):
         stack = np.array([np.vstack([vectors[i], vectors[list(J)]]) for J in subsets])
         expected = np.where([i in J for J in subsets], 0.0, np.linalg.det(stack))
-        coeffs = minor_vector(frame, i + 1).form.coeffs
+        coeffs = minor_vector(frame, i + 1).coeffs
         np.testing.assert_allclose(coeffs, expected, rtol=1e-12, atol=1e-14)
         assert np.all(coeffs[[i in J for J in subsets]] == 0.0)
 

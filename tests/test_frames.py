@@ -11,10 +11,8 @@ from framevol.frames import (
     NotTightError,
     TightFrame,
     complement_frame,
-    frame_distance,
-    frame_from_json,
+    frame_document,
     frame_operator,
-    frame_to_json,
     gram_projection,
     is_tight,
     lift_to_basis,
@@ -76,7 +74,7 @@ def test_is_tight_residuals(mercedes):
 def test_whiten_tight_input_is_identity(mercedes):
     b, tight = whiten(mercedes)
     np.testing.assert_allclose(b, np.eye(2), atol=1e-12)
-    assert frame_distance(tight, mercedes) < 1e-12
+    assert np.linalg.norm(tight.vectors - mercedes.vectors) < 1e-12
 
 
 def test_whiten_doubled_direction():
@@ -171,27 +169,21 @@ def test_complement_needs_room():
         complement_frame(TightFrame(STANDARD_2))
 
 
-def test_frame_distance_cases(rng):
-    frame = Frame(STANDARD_2)
-    assert frame_distance(frame, frame) == 0.0
-    swapped = Frame(STANDARD_2[::-1])
-    assert frame_distance(frame, swapped) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        frame_distance(frame, Frame(DOUBLED))
-    for _ in range(20):
-        a, b, c = (Frame(rng.standard_normal((4, 2))) for _ in range(3))
-        assert frame_distance(a, c) <= frame_distance(a, b) + frame_distance(b, c) + 1e-12
-
-
 def test_random_tight_frame_properties():
     frame = random_tight_frame(5, 3, seed=7)
     again = random_tight_frame(5, 3, seed=7)
     assert np.array_equal(frame.vectors, again.vectors)
     assert is_tight(frame, 1e-12).ok
     other = random_tight_frame(5, 3, seed=8)
-    assert frame_distance(frame, other) > 0.0
+    assert np.linalg.norm(frame.vectors - other.vectors) > 0.0
     square = random_tight_frame(4, 4, seed=1)
     np.testing.assert_allclose(square.vectors @ square.vectors.T, np.eye(4), atol=1e-12)
+
+
+def test_random_tight_frame_redraws_samples_it_cannot_whiten():
+    # The first sample of this stream whitens to a tightness residual of 2.6e-9.
+    frame = random_tight_frame(4, 4, np.random.default_rng((6, 4, 4, 17)))
+    assert is_tight(frame).ok
 
 
 def test_tight_frame_norm_trace_identity(rng):
@@ -213,16 +205,8 @@ def test_tight_frame_constructor_rejects_loose():
 
 
 def test_json_roundtrip_is_exact(rng):
+    # The CLI writes frames as json.dumps of frame_document; floats must survive exactly.
     frame = random_tight_frame(6, 3, rng)
-    text = frame_to_json(frame)
-    parsed = frame_from_json(text)
-    assert np.array_equal(parsed.vectors, frame.vectors)
-    doc = json.loads(text)
+    doc = json.loads(json.dumps(frame_document(frame)))
     assert doc["n"] == 6 and doc["k"] == 3
-
-
-def test_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        frame_from_json(json.dumps({"n": 2, "k": 2, "vectors": [[1.0, 0.0]]}))
-    with pytest.raises(ValueError):
-        frame_from_json(json.dumps({"n": 2, "vectors": [[1.0], [0.0]]}))
+    assert np.array_equal(np.array(doc["vectors"]), frame.vectors)
