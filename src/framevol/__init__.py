@@ -28,9 +28,8 @@ from .exterior import (
     verify_cross_tight,
     volume_identity_residual,
     wedge_coordinates,
-    wedge_forms,
 )
-from .multiindex import MultiIndex, merge_sign, multi_indices
+from .multiindex import merge_sign
 from .optimize import (
     AscentConfig,
     OptimizationResult,

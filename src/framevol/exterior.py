@@ -8,6 +8,8 @@ minor forms d_S(i), and residuals for the tight-frame identities
 (cross-product tightness, unit decompositions at every level, the
 volume identity P_I = sum of P_T over T containing I, and the
 Lagrange/complement identity P_L = P_perp over the complementary set).
+Each identity residual is the maximum over all of a frame's index sets,
+taken with one stacked determinant per side.
 
 Every minor comes from one kernel, ``_minors``: the determinants of the
 rows of an (n, k) array over its C(n, k) ascending k-subsets.  Wedge
@@ -31,10 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from .frames import Frame, _require_tight, gram_projection
-from .multiindex import MultiIndex, merge_sign, rank_table0, subsets0
+from .multiindex import merge_sign, rank_table0, subsets0
 
-# Basis pairs and random form pairs per level checked by hodge_defining_residual.
-_HODGE_PAIR_LIMIT = 20_000
+# Dense random forms per level checked by hodge_defining_residual.
 _HODGE_DENSE_TRIALS = 4
 
 
@@ -167,30 +168,6 @@ def hodge_star(w: Form) -> Form:
     return Form(w.n, w.n - w.level, out)
 
 
-def wedge_forms(a: Form, b: Form) -> Form:
-    """Bilinear wedge product of two forms (e_I ^ e_Q = merge sign times e_{I u Q})."""
-    if a.n != b.n:
-        raise ValueError(f"ambient mismatch: {a.n} vs {b.n}")
-    level = a.level + b.level
-    if level > a.n:
-        raise ValueError(f"wedge level {level} exceeds ambient {a.n}")
-    subs_a = subsets0(a.n, a.level)
-    subs_b = subsets0(b.n, b.level)
-    ranks = rank_table0(a.n, level)
-    out = np.zeros(comb(a.n, level))
-    for ra in np.nonzero(a.coeffs)[0]:
-        left = subs_a[ra]
-        left_set = set(left)
-        ca = a.coeffs[ra]
-        for rb in np.nonzero(b.coeffs)[0]:
-            right = subs_b[rb]
-            if left_set & set(right):
-                continue
-            merged = tuple(sorted(left + right))
-            out[ranks[merged]] += ca * b.coeffs[rb] * merge_sign(left, right)
-    return Form(a.n, level, out)
-
-
 def cross_product(vectors: Sequence | np.ndarray) -> np.ndarray:
     """Cross product of k-1 vectors in R^k: <x, y> = det(x_1, ..., x_{k-1}, y).
 
@@ -225,15 +202,9 @@ def minor_vector(frame: Frame, i: int) -> Form:
     return Form(frame.n, frame.k - 1, minors[i - 1])
 
 
-@lru_cache(maxsize=128)
 def subset_minors(frame: Frame) -> np.ndarray:
-    """d_S(L) = det of the frame vectors over every ascending k-subset L.
-
-    Cached per (immutable) frame object; the returned array is read-only.
-    """
-    minors = _minors(frame.vectors)
-    minors.flags.writeable = False
-    return minors
+    """d_S(L) = det of the frame vectors over every ascending k-subset L."""
+    return _minors(frame.vectors)
 
 
 def verify_cross_tight(frame: Frame) -> float:
@@ -263,85 +234,64 @@ def unit_decomposition_residual(frame: Frame, level: int) -> float:
     return float(np.linalg.norm(w.T @ w - np.eye(comb(frame.k, level))))
 
 
-def volume_identity_residual(frame: Frame, index: MultiIndex) -> float:
-    """Residual of P_I = sum of P_T over k-subsets T containing I.
+def volume_identity_residual(frame: Frame, size: int) -> float:
+    """Max residual of P_I = sum of P_T over k-subsets T containing I, over |I| = size.
 
     P_M is the Gram determinant of (v_i) over M; for |M| = k it equals the
-    squared minor d_S(M)^2.
+    squared minor d_S(M)^2.  Each sum is exactly rounded (fsum).
     """
     _require_tight(frame)
     n, k = frame.n, frame.k
-    if index.n != n:
-        raise ValueError(f"index ambient {index.n} does not match frame n={n}")
-    if index.level > k:
-        raise ValueError(f"index size {index.level} exceeds k={k}")
-    rows = list(index.zero_based())
-    sub = frame.vectors[rows]
-    gram_det = float(np.linalg.det(sub @ sub.T))
-    dets = subset_minors(frame)
-    containing = (_subset_array(n, k)[:, :, None] == rows).any(axis=1).all(axis=1)
-    total = fsum(d * d for d in dets[containing])
-    return abs(gram_det - total)
+    if not 0 <= size <= k:
+        raise ValueError(f"index size must lie in [0, {k}], got {size}")
+    rows = _subset_array(n, size)
+    sub = frame.vectors[rows]  # (C(n, size), size, k)
+    gram_dets = np.linalg.det(sub @ np.swapaxes(sub, 1, 2))
+    squares = subset_minors(frame) ** 2
+    member = (_subset_array(n, k)[:, :, None] == np.arange(n)).any(axis=1)  # (C(n, k), n)
+    # containing[t, r]: the t-th k-subset holds every element of the r-th size-subset.
+    containing = member[:, rows].all(axis=2)
+    totals = [fsum(squares[mask].tolist()) for mask in containing.T]
+    return float(np.max(np.abs(gram_dets - totals)))
 
 
-def lagrange_residual(frame: Frame, index: MultiIndex) -> float:
-    """Residual of the Lagrange identity P_L = P_perp over [n] minus L.
+def lagrange_residual(frame: Frame) -> float:
+    """Max residual of the Lagrange identity P_L = P_perp over [n] minus L, over all L.
 
     The k x k minor of the Gram projection at L equals the complementary
-    (n-k) x (n-k) minor of I_n - P; requires n > k.
+    (n-k) x (n-k) minor of I_n - P; requires n > k.  Complementation reverses
+    lex order, so the r-th k-subset pairs with the (C-1-r)-th (n-k)-subset.
     """
-    if frame.n == frame.k:
+    n, k = frame.n, frame.k
+    if n == k:
         raise ValueError("Lagrange identity needs n > k")
-    if index.n != frame.n or index.level != frame.k:
-        raise ValueError(
-            f"expected a {frame.k}-subset of [{frame.n}], got level {index.level} of [{index.n}]"
-        )
     proj = gram_projection(frame)
-    rows = list(index.zero_based())
-    complement = sorted(set(range(frame.n)) - set(rows))
-    p_l = float(np.linalg.det(proj[np.ix_(rows, rows)]))
-    perp = np.eye(frame.n) - proj
-    p_perp = float(np.linalg.det(perp[np.ix_(complement, complement)]))
-    return abs(p_l - p_perp)
+    rows = _subset_array(n, k)
+    p_l = np.linalg.det(proj[rows[:, :, None], rows[:, None, :]])
+    perp = np.eye(n) - proj
+    complement = _subset_array(n, n - k)[::-1]
+    p_perp = np.linalg.det(perp[complement[:, :, None], complement[:, None, :]])
+    return float(np.max(np.abs(p_l - p_perp)))
 
 
-@lru_cache(maxsize=None)
 def hodge_defining_residual(n: int) -> float:
-    """Max deviation of a ^ star(b) = <a, b> e_[n] over form pairs in R^n.
+    """Max deviation of a ^ star(b) = <a, b> e_[n] over every level of R^n.
 
-    Basis pairs are checked exhaustively per level while C(n, level)^2 stays
-    under ``_HODGE_PAIR_LIMIT``; beyond that all diagonal pairs plus a seeded
-    sample of off-diagonal pairs are used.  Seeded dense random forms are
-    checked at every level.  The left side goes through the generic wedge
-    product, so the check is independent of the star's internal table.
+    Only e_{I^c} pairs with e_I into the top degree, with the sign of the
+    permutation I . I^c, so the identity for every basis a = e_I at once
+    reads pairing * star(b)[C-1-r] = b[r].  It is checked for every basis
+    form b and for seeded dense forms b.  The signs are permutation-matrix
+    determinants, never the star's own table, so the check is independent
+    of it.
     """
     rng = np.random.default_rng(0)
-    top = comb(n, n) - 1  # rank of e_[n] in the one-dimensional top level
     worst = 0.0
     for level in range(n + 1):
         count = comb(n, level)
-        basis = np.eye(count)
-
-        def pair_residual(ra: int, rb: int) -> float:
-            a = Form(n, level, basis[ra])
-            b = Form(n, level, basis[rb])
-            left = wedge_forms(a, hodge_star(b)).coeffs[top]
-            return abs(left - (1.0 if ra == rb else 0.0))
-
-        if count * count <= _HODGE_PAIR_LIMIT:
-            pairs = ((ra, rb) for ra in range(count) for rb in range(count))
-        else:
-            sampled = zip(
-                rng.integers(0, count, size=_HODGE_PAIR_LIMIT),
-                rng.integers(0, count, size=_HODGE_PAIR_LIMIT),
-            )
-            pairs = [(r, r) for r in range(count)] + [(int(a), int(b)) for a, b in sampled]
-        for ra, rb in pairs:
-            worst = max(worst, pair_residual(ra, rb))
-
-        for _ in range(_HODGE_DENSE_TRIALS):
-            a = Form(n, level, rng.standard_normal(count))
-            b = Form(n, level, rng.standard_normal(count))
-            left = wedge_forms(a, hodge_star(b)).coeffs[top]
-            worst = max(worst, abs(left - form_inner(a, b)))
+        order = np.hstack([_subset_array(n, level), _subset_array(n, n - level)[::-1]])
+        pairing = np.linalg.det(np.eye(n)[order])  # exactly +-1, or 0 if not a permutation
+        forms = [*np.eye(count), *rng.standard_normal((_HODGE_DENSE_TRIALS, count))]
+        for b in forms:
+            star = hodge_star(Form(n, level, b)).coeffs[::-1]
+            worst = max(worst, float(np.max(np.abs(pairing * star - b))))
     return worst

@@ -159,7 +159,9 @@ def test_sweep_usage_error():
 def test_bad_option_values_are_usage_errors(argv, capsys):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
-    assert "error:" in err
+    # The subcommand's own parser reports every usage error, with its own usage line.
+    assert err.startswith(f"usage: framevol {argv[0]} ")
+    assert f"framevol {argv[0]}: error:" in err
     assert "Traceback" not in err
 
 

@@ -4,6 +4,7 @@ from math import comb, fsum, sqrt
 import numpy as np
 import pytest
 
+from framevol import exterior
 from framevol.exterior import (
     Form,
     compound_matrix,
@@ -18,10 +19,8 @@ from framevol.exterior import (
     verify_cross_tight,
     volume_identity_residual,
     wedge_coordinates,
-    wedge_forms,
 )
-from framevol.frames import Frame, TightFrame, gram_projection, is_tight, random_tight_frame
-from framevol.multiindex import MultiIndex, multi_indices
+from framevol.frames import TightFrame, gram_projection, is_tight, random_tight_frame
 
 
 def brute_wedge(vectors):
@@ -161,8 +160,46 @@ def test_hodge_is_isometry(rng):
 
 
 def test_hodge_defining_identity_small_n():
-    for n in range(1, 9):
+    for n in range(1, 13):
         assert hodge_defining_residual(n) < 1e-12
+
+
+def _patched_hodge_table(monkeypatch, edit):
+    """Replace the star's (complement rank, sign) table at n = 5 by an edited copy."""
+    table = exterior._hodge_table
+
+    def patched(n, level):
+        perm, signs = (np.array(part) for part in table(n, level))
+        if n == 5 and level == 2:
+            edit(perm, signs)
+        return perm, signs
+
+    monkeypatch.setattr(exterior, "_hodge_table", patched)
+
+
+def test_hodge_defining_check_catches_a_flipped_sign(monkeypatch):
+    def flip(_perm, signs):
+        signs[3] = -signs[3]
+
+    _patched_hodge_table(monkeypatch, flip)
+    assert hodge_defining_residual(5) >= 1.0
+
+
+def test_hodge_defining_check_catches_swapped_complements(monkeypatch):
+    def swap(perm, _signs):
+        perm[[2, 7]] = perm[[7, 2]]
+
+    _patched_hodge_table(monkeypatch, swap)
+    assert hodge_defining_residual(5) >= 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_complementation_reverses_lex_order(n):
+    for level in range(n + 1):
+        subsets = exterior._subset_array(n, level)
+        complements = exterior._subset_array(n, n - level)[::-1]
+        for subset, complement in zip(subsets.tolist(), complements.tolist()):
+            assert sorted(subset + complement) == list(range(n))
 
 
 def test_hodge_determinant_identity(rng):
@@ -187,11 +224,6 @@ def test_hodge_complement_projection_lemma(rng):
         lhs = hodge_star(Form(n, k, lifted @ form.coeffs))
         rhs = dual_lifted @ hodge_star(form).coeffs
         np.testing.assert_allclose(lhs.coeffs, rhs, rtol=1e-9, atol=1e-9)
-
-
-def test_wedge_forms_degree_overflow():
-    with pytest.raises(ValueError):
-        wedge_forms(basis_form(3, 2, (1, 2)), basis_form(3, 2, (1, 3)))
 
 
 # ---------------------------------------------------------------- cross product
@@ -319,42 +351,80 @@ def test_unit_decomposition_level_validation(rng):
         unit_decomposition_residual(frame, 3)
 
 
+def lagrange_oracle(frame):
+    """Per-subset Lagrange residuals: np.ix_ blocks of P and of I - P, one det each."""
+    proj = gram_projection(frame)
+    perp = np.eye(frame.n) - proj
+    worst = 0.0
+    for rows in combinations(range(frame.n), frame.k):
+        complement = [i for i in range(frame.n) if i not in rows]
+        p_l = float(np.linalg.det(proj[np.ix_(rows, rows)]))
+        p_perp = float(np.linalg.det(perp[np.ix_(complement, complement)]))
+        worst = max(worst, abs(p_l - p_perp))
+    return worst
+
+
+def volume_identity_oracle(frame, size):
+    """Per-subset volume identity residuals: one Gram det and one fsum per I."""
+    squares = subset_minors(frame) ** 2
+    tops = list(combinations(range(frame.n), frame.k))
+    worst = 0.0
+    for rows in combinations(range(frame.n), size):
+        sub = frame.vectors[list(rows)]
+        gram_det = float(np.linalg.det(sub @ sub.T))
+        total = fsum(d for d, top in zip(squares, tops) if set(rows) <= set(top))
+        worst = max(worst, abs(gram_det - total))
+    return worst
+
+
+@pytest.mark.parametrize("n, k", [(5, 1), (6, 3), (7, 4)])
+def test_batched_residuals_match_per_subset_oracle(n, k):
+    for seed in range(3):
+        frame = random_tight_frame(n, k, np.random.default_rng((seed, n, k)))
+        assert lagrange_residual(frame) == lagrange_oracle(frame)
+        for size in range(k + 1):
+            assert volume_identity_residual(frame, size) == volume_identity_oracle(frame, size)
+
+
 def test_volume_identity_top_size_is_exact(rng):
     frame = random_tight_frame(5, 2, rng)
-    for index in multi_indices(5, 2):
-        assert volume_identity_residual(frame, index) < 1e-13
+    assert volume_identity_residual(frame, 2) < 1e-13
 
 
 def test_volume_identity_mercedes(mercedes):
-    assert volume_identity_residual(mercedes, MultiIndex((1,), 3)) < 1e-15
+    assert volume_identity_residual(mercedes, 1) < 1e-15
 
 
 def test_volume_identity_random_small_sets(rng):
     frame = random_tight_frame(7, 4, rng)
     for size in (1, 2):
-        for index in multi_indices(7, size):
-            assert volume_identity_residual(frame, index) < 1e-10
+        assert volume_identity_residual(frame, size) < 1e-10
+
+
+def test_volume_identity_size_validation(mercedes):
+    for size in (-1, 3):
+        with pytest.raises(ValueError):
+            volume_identity_residual(mercedes, size)
 
 
 def test_lagrange_residual_diagonal_line():
     frame = TightFrame([[1.0 / sqrt(2.0)], [1.0 / sqrt(2.0)]])
-    assert lagrange_residual(frame, MultiIndex((1,), 2)) < 1e-15
+    assert lagrange_residual(frame) < 1e-15
 
 
 def test_lagrange_residual_mercedes(mercedes):
-    assert lagrange_residual(mercedes, MultiIndex((1, 2), 3)) < 1e-12
+    assert lagrange_residual(mercedes) < 1e-12
 
 
 def test_lagrange_residual_random_all_subsets(rng):
     frame = random_tight_frame(6, 3, rng)
-    for index in multi_indices(6, 3):
-        assert lagrange_residual(frame, index) < 1e-10
+    assert lagrange_residual(frame) < 1e-10
 
 
 def test_lagrange_needs_strict_corank(rng):
     frame = random_tight_frame(3, 3, rng)
     with pytest.raises(ValueError):
-        lagrange_residual(frame, MultiIndex((1, 2, 3), 3))
+        lagrange_residual(frame)
 
 
 def test_form_validation():
