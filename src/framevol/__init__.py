@@ -29,7 +29,6 @@ from .exterior import (
     volume_identity_residual,
     wedge_coordinates,
 )
-from .multiindex import merge_sign
 from .optimize import (
     AscentConfig,
     OptimizationResult,

@@ -17,6 +17,10 @@ coordinates and compounds are minors of a transpose, the cross product is
 star(x_1 ^ ... ^ x_{k-1}), and det(v_i, v_J) is gathered from the subset
 minors as (-1)^#{j in J : j < i} d(J u {i}).
 
+Subset tables come from ``_subset_array`` and closed forms, never from a
+rank lookup: complementation reverses lex order, so the star is a sign
+times a reversal, and ``_lex_rank`` ranks stacks of subsets arithmetically.
+
 Orientation convention: d_S(i) places the owner vector first, so its
 coordinate at L is det(v_i, v_{l_1}, ..., v_{l_{k-1}}) with L ascending.
 The sign vectors of the zonotope module share the convention, which makes
@@ -27,16 +31,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations
 from math import comb, fsum
 from typing import Sequence
 
 import numpy as np
 
 from .frames import Frame, _require_tight, gram_projection
-from .multiindex import merge_sign, rank_table0, subsets0
 
 # Dense random forms per level checked by hodge_defining_residual.
 _HODGE_DENSE_TRIALS = 4
+# Entries per row chunk of the identity that hodge_defining_residual stars at once.
+_HODGE_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -60,9 +66,23 @@ class Form:
 
 @lru_cache(maxsize=None)
 def _subset_array(n: int, level: int) -> np.ndarray:
-    arr = np.array(subsets0(n, level), dtype=np.intp).reshape(comb(n, level), level)
+    """The ascending ``level``-subsets of range(n) as rows, in lex order."""
+    arr = np.array(list(combinations(range(n), level)), dtype=np.intp)
+    arr = arr.reshape(comb(n, level), level)
     arr.flags.writeable = False
     return arr
+
+
+def _lex_rank(rows: np.ndarray, n: int) -> np.ndarray:
+    """Lex rank among the m-subsets of range(n) of each ascending row of an (..., m) stack.
+
+    C(n-1-c_p, m-p) subsets follow c in lex order by first differing at
+    position p, so rank(c) = C(n, m) - 1 - sum_p C(n-1-c_p, m-p).
+    """
+    m = rows.shape[-1]
+    pascal = np.array([[comb(a, b) for b in range(m + 1)] for a in range(n)], dtype=np.intp)
+    later = pascal[n - 1 - rows, m - np.arange(m)].sum(axis=-1)
+    return comb(n, m) - 1 - later
 
 
 def _minors(vectors: np.ndarray) -> np.ndarray:
@@ -85,33 +105,40 @@ def _owner_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     Entry [i, rank J] holds the rank of J u {i} among the k-subsets and the
     sign (-1)^#{j in J : j < i}; both are 0 where i lies in J.
     """
-    ranks = rank_table0(n, k - 1)
+    subsets = _subset_array(n, k)
+    # drop[p] lists the positions kept when position p leaves a k-subset.
+    drop = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
+    ranks = _lex_rank(subsets[:, drop], n)  # ranks[r, p]: rank of L_r minus its p-th element
     where = np.zeros((n, comb(n, k - 1)), dtype=np.intp)
     signs = np.zeros((n, comb(n, k - 1)))
-    for r, sub in enumerate(subsets0(n, k)):
-        for p, i in enumerate(sub):
-            c = ranks[sub[:p] + sub[p + 1 :]]
-            where[i, c] = r
-            signs[i, c] = -1.0 if p % 2 else 1.0
+    where[subsets, ranks] = np.arange(len(subsets))[:, None]
+    signs[subsets, ranks] = np.where(np.arange(k) % 2, -1.0, 1.0)
     where.flags.writeable = False
     signs.flags.writeable = False
     return where, signs
 
 
 @lru_cache(maxsize=None)
-def _hodge_table(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-rank complement rank and merge sign realizing the Hodge star."""
-    ranks = rank_table0(n, n - level)
-    everything = set(range(n))
-    perm = np.empty(comb(n, level), dtype=np.intp)
-    signs = np.empty(comb(n, level))
-    for r, sub in enumerate(subsets0(n, level)):
-        complement = tuple(sorted(everything - set(sub)))
-        perm[r] = ranks[complement]
-        signs[r] = merge_sign(sub, complement)
-    perm.flags.writeable = False
+def _star_signs(n: int, level: int) -> np.ndarray:
+    """Sign of the permutation I . I^c per level-subset I: (-1)^(sum I - C(level, 2)).
+
+    Element i_p of I (zero-based) precedes the i_p - p smaller elements of I^c.
+    """
+    inversions = _subset_array(n, level).sum(axis=1) - comb(level, 2)
+    signs = np.where(inversions % 2, -1.0, 1.0)
     signs.flags.writeable = False
-    return perm, signs
+    return signs
+
+
+def _star(coeffs: np.ndarray, n: int, level: int) -> np.ndarray:
+    """Hodge star of a (..., C(n, level)) stack of level-form coefficients.
+
+    I^c of the r-th level-subset is the (C-1-r)-th (n-level)-subset, so the
+    star is a sign per subset followed by a reversal.
+    """
+    # Reversing the factors, not the product, yields a contiguous array; a
+    # negative-stride view would change how a later matmul rounds.
+    return _star_signs(n, level)[::-1] * coeffs[..., ::-1]
 
 
 def wedge_coordinates(vectors: Sequence | np.ndarray) -> Form:
@@ -162,10 +189,7 @@ def form_inner(a: Form, b: Form) -> float:
 
 def hodge_star(w: Form) -> Form:
     """The isometry pinned by a ^ star(b) = <a, b> e_1 ^ ... ^ e_n."""
-    perm, signs = _hodge_table(w.n, w.level)
-    out = np.zeros(comb(w.n, w.n - w.level))
-    out[perm] = signs * w.coeffs
-    return Form(w.n, w.n - w.level, out)
+    return Form(w.n, w.n - w.level, _star(w.coeffs, w.n, w.level))
 
 
 def cross_product(vectors: Sequence | np.ndarray) -> np.ndarray:
@@ -215,9 +239,7 @@ def verify_cross_tight(frame: Frame) -> float:
     """
     _require_tight(frame)
     # [v_J] is the Hodge star of row J of the (k-1)-compound, the wedge of v_J.
-    perm, signs = _hodge_table(frame.k, frame.k - 1)
-    crosses = np.empty((comb(frame.n, frame.k - 1), frame.k))
-    crosses[:, perm] = signs * compound_matrix(frame.vectors, frame.k - 1)
+    crosses = _star(compound_matrix(frame.vectors, frame.k - 1), frame.k, frame.k - 1)
     return float(np.linalg.norm(crosses.T @ crosses - np.eye(frame.k)))
 
 
@@ -280,9 +302,9 @@ def hodge_defining_residual(n: int) -> float:
     Only e_{I^c} pairs with e_I into the top degree, with the sign of the
     permutation I . I^c, so the identity for every basis a = e_I at once
     reads pairing * star(b)[C-1-r] = b[r].  It is checked for every basis
-    form b and for seeded dense forms b.  The signs are permutation-matrix
-    determinants, never the star's own table, so the check is independent
-    of it.
+    form b, in bounded row chunks of the identity, and for seeded dense
+    forms b.  The signs are permutation-matrix determinants, never the
+    star's sign formula, so the check is independent of it.
     """
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -290,8 +312,10 @@ def hodge_defining_residual(n: int) -> float:
         count = comb(n, level)
         order = np.hstack([_subset_array(n, level), _subset_array(n, n - level)[::-1]])
         pairing = np.linalg.det(np.eye(n)[order])  # exactly +-1, or 0 if not a permutation
-        forms = [*np.eye(count), *rng.standard_normal((_HODGE_DENSE_TRIALS, count))]
-        for b in forms:
-            star = hodge_star(Form(n, level, b)).coeffs[::-1]
-            worst = max(worst, float(np.max(np.abs(pairing * star - b))))
+        dense = rng.standard_normal((_HODGE_DENSE_TRIALS, count))
+        rows = max(1, _HODGE_CHUNK_ENTRIES // count)
+        basis = (np.eye(min(rows, count - r), count, r) for r in range(0, count, rows))
+        for forms in chain([dense], basis):
+            star = _star(forms, n, level)[:, ::-1]
+            worst = max(worst, float(np.max(np.abs(pairing * star - forms))))
     return worst

@@ -1,8 +1,11 @@
+import tracemalloc
 from itertools import combinations
 from math import comb, fsum, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framevol import exterior
 from framevol.exterior import (
@@ -35,6 +38,74 @@ def basis_form(n, level, subset):
     position = list(combinations(range(1, n + 1), level)).index(tuple(subset))
     coeffs[position] = 1.0
     return Form(n, level, coeffs)
+
+
+def permutation_sign(sequence):
+    """Oracle: sign of the permutation sorting ``sequence``, via its matrix determinant."""
+    order = np.argsort(sequence, kind="stable")
+    matrix = np.zeros((len(sequence), len(sequence)))
+    matrix[np.arange(len(sequence)), order] = 1.0
+    return round(float(np.linalg.det(matrix)))
+
+
+# ---------------------------------------------------------------- subsets and lex rank
+
+
+@pytest.mark.parametrize(
+    "elements, n, expected",
+    [((1, 2), 4, 0), ((1, 3), 4, 1), ((3, 4), 4, 5), ((3,), 3, 2), ((), 5, 0)],
+)
+def test_rank_examples(elements, n, expected):
+    zero_based = np.array(elements, dtype=np.intp) - 1
+    assert exterior._lex_rank(zero_based, n) == expected
+
+
+@pytest.mark.parametrize(
+    "r, n, level, expected",
+    [(0, 4, 2, (1, 2)), (5, 4, 2, (3, 4)), (2, 3, 1, (3,))],
+)
+def test_unrank_examples(r, n, level, expected):
+    assert tuple(exterior._subset_array(n, level)[r] + 1) == expected
+
+
+def test_multi_indices_iterates_in_rank_order():
+    subsets = exterior._subset_array(5, 3)
+    assert subsets.tolist() == [list(sub) for sub in combinations(range(5), 3)]
+    np.testing.assert_array_equal(exterior._lex_rank(subsets, 5), np.arange(10))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_lex_rank_counts_lex_smaller_subsets(data):
+    n = data.draw(st.integers(1, 70))
+    m = data.draw(st.integers(0, min(8, n)))
+    subset = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=m, max_size=m)))
+    # A smaller subset first differs at position p, holding x there with c_{p-1} < x < c_p.
+    smaller = sum(
+        comb(n - 1 - x, m - 1 - p)
+        for p in range(m)
+        for x in range(subset[p - 1] + 1 if p else 0, subset[p])
+    )
+    assert exterior._lex_rank(np.array(subset, dtype=np.intp), n) == smaller
+
+
+@pytest.mark.parametrize(
+    "elements, n, expected",
+    [((1,), 3, 1), ((2,), 3, -1), ((1, 2), 4, 1)],
+)
+def test_star_sign_examples(elements, n, expected):
+    signs = exterior._star_signs(n, len(elements))
+    assert signs[exterior._lex_rank(np.array(elements, dtype=np.intp) - 1, n)] == expected
+
+
+def test_star_signs_match_permutation_parity_exhaustively():
+    for n in range(1, 9):
+        for level in range(n + 1):
+            subsets = exterior._subset_array(n, level).tolist()
+            expected = [
+                permutation_sign(sub + [e for e in range(n) if e not in sub]) for sub in subsets
+            ]
+            np.testing.assert_array_equal(exterior._star_signs(n, level), expected)
 
 
 # ---------------------------------------------------------------- wedge
@@ -164,32 +235,40 @@ def test_hodge_defining_identity_small_n():
         assert hodge_defining_residual(n) < 1e-12
 
 
-def _patched_hodge_table(monkeypatch, edit):
-    """Replace the star's (complement rank, sign) table at n = 5 by an edited copy."""
-    table = exterior._hodge_table
-
-    def patched(n, level):
-        perm, signs = (np.array(part) for part in table(n, level))
-        if n == 5 and level == 2:
-            edit(perm, signs)
-        return perm, signs
-
-    monkeypatch.setattr(exterior, "_hodge_table", patched)
+def test_hodge_defining_check_memory_is_bounded():
+    # Basis forms are starred in bounded row chunks, never as one C(14, 7)^2 identity.
+    tracemalloc.start()
+    try:
+        assert hodge_defining_residual(14) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_hodge_defining_check_catches_a_flipped_sign(monkeypatch):
-    def flip(_perm, signs):
-        signs[3] = -signs[3]
+    signs = exterior._star_signs
 
-    _patched_hodge_table(monkeypatch, flip)
+    def flipped(n, level):
+        out = np.array(signs(n, level))
+        if (n, level) == (5, 2):
+            out[3] = -out[3]
+        return out
+
+    monkeypatch.setattr(exterior, "_star_signs", flipped)
     assert hodge_defining_residual(5) >= 1.0
 
 
 def test_hodge_defining_check_catches_swapped_complements(monkeypatch):
-    def swap(perm, _signs):
-        perm[[2, 7]] = perm[[7, 2]]
+    star = exterior._star
 
-    _patched_hodge_table(monkeypatch, swap)
+    def swapped(coeffs, n, level):
+        out = star(coeffs, n, level)
+        if (n, level) == (5, 2):
+            out[..., [2, 7]] = out[..., [7, 2]]
+        return out
+
+    monkeypatch.setattr(exterior, "_star", swapped)
     assert hodge_defining_residual(5) >= 1.0
 
 
@@ -299,7 +378,7 @@ def test_minor_vectors_decompose_identity_on_wedge_space(rng):
     np.testing.assert_allclose(operator @ lifted, lifted, atol=1e-10)
 
 
-@pytest.mark.parametrize("n, k", [(4, 1), (5, 5), (7, 3), (9, 5)])
+@pytest.mark.parametrize("n, k", [(4, 1), (5, 5), (7, 3), (9, 5), (12, 6), (70, 2)])
 def test_minor_vectors_match_direct_determinants(n, k):
     # d_S(i) at J is det(v_i, v_J), owner first; the package gathers it from the d(L).
     frame = random_tight_frame(n, k, np.random.default_rng((n, k)))
