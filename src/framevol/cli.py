@@ -6,10 +6,11 @@ Subcommands:
   sweep     -- stability scan at codimension q over a range of n
   bounds    -- upper-bound table for cube projections
 
-Machine-readable data (JSON or CSV) goes to stdout or --out; progress and
-human-readable summaries go to stderr.  Identical configurations produce
-byte-identical output.  Exit codes: 0 success, 1 identity violation,
-2 usage or I/O error.
+Each command prints its human-readable notes to stderr and returns its data
+document, a CSV header and the CSV rows; ``main`` renders JSON from the
+document or CSV from the rows and writes it once, to stdout or --out.
+Identical configurations produce byte-identical output.  Exit codes:
+0 success, 1 identity violation, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ CSV_HEADER = "n,k,seed,volume,bound_binomial,bound_ball,residual,min_norm_sq,max
 _MIN_SLOPE = 0.05  # redraw perturbations whose predicted slope is this small
 
 
-class OutputError(RuntimeError):
-    """Writing the data output failed."""
-
-
 @dataclass
 class IdentityReport:
     n: int
@@ -65,10 +62,16 @@ class IdentityReport:
     skipped: tuple[str, ...]
 
     @property
+    def rows(self) -> list[list]:
+        """[identity, max residual, tolerance, pass] per identity, in name order."""
+        return [
+            [name, value, self.thresholds[name], value <= self.thresholds[name]]
+            for name, value in sorted(self.residuals.items())
+        ]
+
+    @property
     def passed(self) -> bool:
-        return all(
-            self.residuals[name] <= self.thresholds[name] for name in self.residuals
-        )
+        return all(row[3] for row in self.rows)
 
 
 def _cauchy_binet_residual(rng: np.random.Generator) -> float:
@@ -142,31 +145,9 @@ def run_identity_trials(
     )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise OutputError(f"cannot write {out}: {exc}") from exc
-
-
 def _note(args: argparse.Namespace, message: str) -> None:
     if not args.quiet:
         print(message, file=sys.stderr)
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _csv_text(header: str, rows: list[list]) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_csv_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
 
 
 def _csv_cell(cell) -> str:
@@ -193,14 +174,13 @@ def _csv_row(n: int, k: int, seed: int, run) -> list:
     ]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, str, list[list], int]:
     report = run_identity_trials(args.n, args.k, args.trials, args.seed, args.tol)
     for name in report.skipped:
         _note(args, f"notice: {name} skipped (n == k has no complement)")
-    for name in sorted(report.residuals):
-        value = report.residuals[name]
-        limit = report.thresholds[name]
-        state = "ok" if value <= limit else "VIOLATION"
+    rows = report.rows
+    for name, value, limit, ok in rows:
+        state = "ok" if ok else "VIOLATION"
         _note(args, f"{name:<24} max residual {value:.3e}  (tol {limit:.1e})  {state}")
     doc = {
         "command": "verify",
@@ -209,26 +189,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "trials": report.trials,
         "seed": report.seed,
         "identities": {
-            name: {
-                "max_residual": report.residuals[name],
-                "tolerance": report.thresholds[name],
-                "pass": report.residuals[name] <= report.thresholds[name],
-            }
-            for name in sorted(report.residuals)
+            name: {"max_residual": value, "tolerance": limit, "pass": ok}
+            for name, value, limit, ok in rows
         },
         "skipped": list(report.skipped),
         "pass": report.passed,
     }
-    if args.fmt == "json":
-        _emit(_json_text(doc), args.out)
-    else:
-        rows = [
-            [name, report.residuals[name], report.thresholds[name],
-             report.residuals[name] <= report.thresholds[name]]
-            for name in sorted(report.residuals)
-        ]
-        _emit(_csv_text("identity,max_residual,tolerance,pass", rows), args.out)
-    return 0 if report.passed else 1
+    return doc, "identity,max_residual,tolerance,pass", rows, 0 if report.passed else 1
 
 
 def _ascent_config(args: argparse.Namespace) -> AscentConfig:
@@ -268,7 +235,7 @@ def _result_document(args: argparse.Namespace, result: OptimizationResult) -> di
     }
 
 
-def cmd_maximize(args: argparse.Namespace) -> int:
+def cmd_maximize(args: argparse.Namespace) -> tuple[dict, str, list[list], int]:
     start = random_tight_frame(args.n, args.k, np.random.default_rng((args.seed, 0)))
     result = ascend(start, _ascent_config(args))
     if not result.converged:
@@ -286,14 +253,11 @@ def cmd_maximize(args: argparse.Namespace) -> int:
         f"  (min ratio {result.ratio.min_ratio:.9g})",
     )
     _note(args, f"residual       {result.residual:.3e}")
-    if args.fmt == "json":
-        _emit(_json_text(_result_document(args, result)), args.out)
-    else:
-        _emit(_csv_text(CSV_HEADER, [_csv_row(args.n, args.k, args.seed, result)]), args.out)
-    return 0
+    row = _csv_row(args.n, args.k, args.seed, result)
+    return _result_document(args, result), CSV_HEADER, [row], 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[dict, str, list[list], int]:
     rows = stability_scan(args.q, args.n_min, args.n_max, _ascent_config(args))
     _note(args, f"{'n':>3} {'k':>3} {'volume':>14} {'ratio':>12} {'bound':>12}")
     for row in rows:
@@ -302,58 +266,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{row.n:>3} {row.k:>3} {row.volume:>14.9g} {row.ratio:>12.9g}"
             f" {row.lower_bound:>12.9g}",
         )
-    if args.fmt == "json":
-        doc = {
-            "command": "sweep",
-            "q": args.q,
-            "seed": args.seed,
-            "rows": [asdict(row) | {"seed": args.seed} for row in rows],
-        }
-        _emit(_json_text(doc), args.out)
-    else:
-        table = [_csv_row(row.n, row.k, args.seed, row) for row in rows]
-        _emit(_csv_text(CSV_HEADER, table), args.out)
-    return 0
+    doc = {
+        "command": "sweep",
+        "q": args.q,
+        "seed": args.seed,
+        "rows": [asdict(row) | {"seed": args.seed} for row in rows],
+    }
+    table = [_csv_row(row.n, row.k, args.seed, row) for row in rows]
+    return doc, CSV_HEADER, table, 0
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    if args.n is not None:
-        ns = [args.n]
-    else:
-        ns = list(range(args.n_min, args.n_max + 1))
+def cmd_bounds(args: argparse.Namespace) -> tuple[dict, str, list[list], int]:
     rows = []
-    for n in ns:
-        ks = [args.k] if args.k is not None else list(range(1, n + 1))
-        for k in ks:
-            if not 1 <= k <= n:
-                continue
-            pair = bounds(n, k)
-            rows.append([n, k, pair.binomial, pair.ball, pair.ball < pair.binomial])
+    for n in range(args.n_min, args.n_max + 1):
+        for k in range(1, n + 1):
+            if args.k in (None, k):
+                pair = bounds(n, k)
+                rows.append([n, k, pair.binomial, pair.ball, pair.ball < pair.binomial])
     _note(args, f"{'n':>3} {'k':>3} {'sqrt(C(n,k))':>14} {'ball bound':>14}")
     for n, k, binomial, ball, flagged in rows:
         marker = "  (ball < binomial)" if flagged else ""
         _note(args, f"{n:>3} {k:>3} {binomial:>14.9g} {ball:>14.9g}{marker}")
-    if args.fmt == "json":
-        doc = {
-            "command": "bounds",
-            "rows": [
-                {
-                    "n": n,
-                    "k": k,
-                    "bound_binomial": binomial,
-                    "bound_ball": ball,
-                    "ball_below_binomial": flagged,
-                }
-                for n, k, binomial, ball, flagged in rows
-            ],
-        }
-        _emit(_json_text(doc), args.out)
-    else:
-        _emit(
-            _csv_text("n,k,bound_binomial,bound_ball,ball_below_binomial", rows),
-            args.out,
-        )
-    return 0
+    header = "n,k,bound_binomial,bound_ball,ball_below_binomial"
+    doc = {"command": "bounds", "rows": [dict(zip(header.split(","), row)) for row in rows]}
+    return doc, header, rows, 0
 
 
 def _seed(text: str) -> int:
@@ -437,17 +373,19 @@ def _validate(args: argparse.Namespace) -> None:
         if args.n_max > MAX_N:
             error(f"n-max={args.n_max} exceeds the n <= {MAX_N} cost cap")
     elif args.command == "bounds":
-        if args.n is None and (args.n_min is None or args.n_max is None):
+        if args.n is not None:
+            if (args.n_min, args.n_max) != (None, None):
+                error("--n cannot be combined with --n-min or --n-max")
+            args.n_min = args.n_max = args.n
+        if args.n_min is None or args.n_max is None:
             error("bounds needs --n or both --n-min and --n-max")
-        top = args.n if args.n is not None else args.n_max
-        low = args.n if args.n is not None else args.n_min
-        if top > MAX_N:
-            error(f"n={top} exceeds the n <= {MAX_N} cost cap")
-        if args.k is not None and not 1 <= args.k <= top:
-            error(f"--k must lie in [1, {top}], got {args.k}")
-        if args.n is None and args.n_max < args.n_min:
+        if args.n_max > MAX_N:
+            error(f"n={args.n_max} exceeds the n <= {MAX_N} cost cap")
+        if args.k is not None and not 1 <= args.k <= args.n_max:
+            error(f"--k must lie in [1, {args.n_max}], got {args.k}")
+        if args.n_max < args.n_min:
             error("empty range: --n-max below --n-min")
-        if low < 1:
+        if args.n_min < 1:
             error("n must be positive")
     if args.command in ("maximize", "sweep"):
         try:
@@ -470,11 +408,21 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     _validate(args)
+    doc, header, rows, code = _COMMANDS[args.command](args)
+    if args.fmt == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        text = "\n".join([header, *(",".join(map(_csv_cell, row)) for row in rows)]) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+        return code
     try:
-        return _COMMANDS[args.command](args)
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import zonotope
-from .exterior import _minors
 from .frames import (
     Frame,
     InvalidFrameError,
@@ -130,12 +129,6 @@ def objective(frame: Frame) -> float:
     return zonotope.volume(frame) / math.sqrt(det)
 
 
-def _evaluate(frame: Frame) -> tuple[np.ndarray, float]:
-    """The subset minors d(L) of a frame and its volume sum_L |d(L)|."""
-    minors = _minors(frame.vectors)
-    return minors, math.fsum(np.abs(minors))
-
-
 def ascent_direction(frame: Frame) -> np.ndarray:
     """Per-vector ascent directions x_i = g_i - v_i of log G at a tight frame.
 
@@ -144,7 +137,7 @@ def ascent_direction(frame: Frame) -> np.ndarray:
     first-order critical.  Computed as M V with M = sigma D^T - V V^T.
     """
     _require_tight(frame)
-    minors, total = _evaluate(frame)
+    minors, total = zonotope._evaluate(frame.vectors)
     return zonotope._first_order_matrix(frame.vectors, minors, total) @ frame.vectors
 
 
@@ -171,12 +164,12 @@ def _retract_step(
         candidate = retract(Frame(frame.vectors + t * direction))
     except (InvalidFrameError, np.linalg.LinAlgError):
         return None
-    return candidate, *_evaluate(candidate)
+    return candidate, *zonotope._evaluate(candidate.vectors)
 
 
 def _ascend_single(start: TightFrame, cfg: AscentConfig, restart: int) -> RestartRecord:
     frame = start
-    minors, best = _evaluate(frame)
+    minors, best = zonotope._evaluate(frame.vectors)
     mismatch = zonotope._first_order_matrix(frame.vectors, minors, best)
     residual = float(np.max(np.abs(mismatch)))
     trace = [best]

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exterior import Form, _minors, _owner_first_minors, subset_minors
+from .exterior import Form, _minors, _owner_first_minors
 from .frames import Frame, _require_tight, complement_frame
 
 # Minors below this fraction of the largest minor count as exact zeros for
@@ -50,9 +50,15 @@ class BoundPair(NamedTuple):
     ball: float
 
 
+def _evaluate(vectors: np.ndarray) -> tuple[np.ndarray, float]:
+    """The subset minors d(L) of an n x k frame and its volume sum_L |d(L)|."""
+    minors = _minors(vectors)
+    return minors, fsum(np.abs(minors))
+
+
 def volume(frame: Frame) -> float:
     """Zonotope volume sum_L |d_S(L)| over ascending k-subsets L."""
-    return fsum(np.abs(_minors(frame.vectors)))
+    return _evaluate(frame.vectors)[1]
 
 
 def _sign_matrix(minors: np.ndarray) -> np.ndarray:
@@ -66,8 +72,7 @@ def sign_vector(frame: Frame, i: int) -> SignVector:
     """sigma_S(i): coordinate at L is sign(det(v_i, v_L)) / F(S), zero on zero minors."""
     if not 1 <= i <= frame.n:
         raise ValueError(f"owner index {i} out of [1, {frame.n}]")
-    minors = subset_minors(frame)
-    total = fsum(np.abs(minors))
+    minors, total = _evaluate(frame.vectors)
     if total <= 0.0:
         raise DegenerateFrameError("zonotope volume is zero")
     coeffs = _sign_matrix(_owner_first_minors(minors, frame.n, frame.k))[i - 1] / total
@@ -86,8 +91,7 @@ def _first_order_matrix(vectors: np.ndarray, minors: np.ndarray, total: float) -
 def first_order_residual(frame: Frame) -> float:
     """max_{i,j} |<sigma_S(i), d_S(j)> - <v_i, v_j>|; zero at local maximizers."""
     _require_tight(frame)
-    minors = _minors(frame.vectors)
-    matrix = _first_order_matrix(frame.vectors, minors, fsum(np.abs(minors)))
+    matrix = _first_order_matrix(frame.vectors, *_evaluate(frame.vectors))
     return float(np.max(np.abs(matrix)))
 
 
@@ -118,7 +122,7 @@ def hyperplane_projection_volume(frame: Frame, i: int) -> float:
     if frame.k == 1:
         return 1.0  # projection onto the zero subspace is a point
     basis = _householder_complement_basis(direction)
-    return fsum(np.abs(_minors(frame.vectors @ basis)))
+    return _evaluate(frame.vectors @ basis)[1]
 
 
 def mcmullen_check(frame: Frame) -> McMullenCheck:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from math import sqrt
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,8 @@ def test_sweep_usage_error():
         ["bounds", "--n-min", "2", "--n-max", "4", "--k", "0"],
         ["bounds", "--n-min", "2", "--n-max", "4", "--k", "9"],
         ["bounds", "--n-min", "2", "--n-max", "4", "--seed", "1"],
+        ["bounds", "--n", "3", "--n-min", "5", "--n-max", "4"],
+        ["bounds", "--n", "3", "--n-min", "1", "--n-max", "10"],
     ],
 )
 def test_bad_option_values_are_usage_errors(argv, capsys):
@@ -202,3 +208,80 @@ def test_identity_trials_library_entry():
     report = run_identity_trials(4, 2, trials=2, seed=3)
     assert report.passed
     assert report.residuals["tightness"] < 1e-12
+
+
+SMALL_RUNS = {
+    "verify": ["verify", "--n", "4", "--k", "2", "--trials", "2"],
+    "maximize": ["maximize", "--n", "3", "--k", "2", "--restarts", "2", "--seed", "1"],
+    "sweep": ["sweep", "--q", "1", "--n-min", "3", "--n-max", "4", "--restarts", "1"],
+    "bounds": ["bounds", "--n-min", "2", "--n-max", "4"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_out_file_holds_the_stdout_bytes(command, fmt, tmp_path, capsys):
+    argv = [*SMALL_RUNS[command], "--format", fmt, "--quiet"]
+    code = run_cli(argv)
+    stdout = capsys.readouterr().out
+    out = tmp_path / "data"
+    assert run_cli([*argv, "--out", str(out)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+
+
+def _cell(value) -> str:
+    """The CSV cell of a JSON value: its JSON spelling, strings unquoted."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_csv_table_carries_the_json_values(command, capsys):
+    argv = [*SMALL_RUNS[command], "--quiet"]
+    assert run_cli(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert run_cli([*argv, "--format", "csv"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    columns = header.split(",")
+    table = [line.split(",") for line in lines]
+    if command == "verify":
+        identities = doc["identities"]
+        assert list(identities) == sorted(identities)
+        assert table == [
+            [name, *map(_cell, entry.values())] for name, entry in identities.items()
+        ]
+    elif command == "bounds":
+        assert all(list(row) == columns for row in doc["rows"])
+        assert table == [[_cell(value) for value in row.values()] for row in doc["rows"]]
+    else:
+        runs = [doc] if command == "maximize" else doc["rows"]
+        assert len(table) == len(runs)
+        for cells, run in zip(table, runs):
+            assert cells[columns.index("volume")] == repr(run["volume"])
+            assert cells[columns.index("residual")] == repr(run["residual"])
+
+
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "framevol", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+
+
+def test_module_entry_point_writes_what_main_writes(capsys):
+    argv = ["bounds", "--n", "3", "--k", "2", "--quiet"]
+    proc = _run_module(*argv)
+    assert proc.returncode == 0
+    assert run_cli(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_module_entry_point_reports_usage_errors():
+    proc = _run_module("verify", "--n", "2", "--k", "5")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: framevol verify")
+    assert "Traceback" not in proc.stderr
