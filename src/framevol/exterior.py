@@ -12,14 +12,18 @@ Each identity residual is the maximum over all of a frame's index sets,
 taken with one stacked determinant per side.
 
 Every minor comes from one kernel, ``_minors``: the determinants of the
-rows of an (n, k) array over its C(n, k) ascending k-subsets.  Wedge
-coordinates and compounds are minors of a transpose, the cross product is
+rows of an (n, k) array over its C(n, k) ascending k-subsets.  They are the
+coordinates of c_1 ^ ... ^ c_k for the columns c_j, built one column at a
+time by Laplace expansion, with no LU factorization.  Wedge coordinates and
+compounds are minors of a transpose, the cross product is
 star(x_1 ^ ... ^ x_{k-1}), and det(v_i, v_J) is gathered from the subset
 minors as (-1)^#{j in J : j < i} d(J u {i}).
 
 Subset tables come from ``_subset_array`` and closed forms, never from a
 rank lookup: complementation reverses lex order, so the star is a sign
 times a reversal, and ``_lex_rank`` ranks stacks of subsets arithmetically.
+``_faces`` ranks the faces L minus l_p of every k-subset once, for both the
+Laplace gather and the owner-first gather.
 
 Orientation convention: d_S(i) places the owner vector first, so its
 coordinate at L is det(v_i, v_{l_1}, ..., v_{l_{k-1}}) with L ascending.
@@ -67,7 +71,9 @@ class Form:
 @lru_cache(maxsize=None)
 def _subset_array(n: int, level: int) -> np.ndarray:
     """The ascending ``level``-subsets of range(n) as rows, in lex order."""
-    arr = np.array(list(combinations(range(n), level)), dtype=np.intp)
+    # Streamed: a list of C(n, level) tuples would leave the process holding its pools.
+    flat = chain.from_iterable(combinations(range(n), level))
+    arr = np.fromiter(flat, dtype=np.intp, count=comb(n, level) * level)
     arr = arr.reshape(comb(n, level), level)
     arr.flags.writeable = False
     return arr
@@ -85,17 +91,50 @@ def _lex_rank(rows: np.ndarray, n: int) -> np.ndarray:
     return comb(n, m) - 1 - later
 
 
+def _faces(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending k-subsets L of range(n) and the ranks of their faces.
+
+    Entry [r, p] of the second array is the rank among the (k-1)-subsets of
+    L_r minus its p-th element.
+    """
+    subsets = _subset_array(n, k)
+    # drop[p] lists the positions kept when position p leaves a k-subset.
+    drop = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
+    return subsets, _lex_rank(subsets[:, drop], n)
+
+
+@lru_cache(maxsize=None)
+def _laplace_table(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gather index into the (n, C(n, j-1)) products and the Laplace signs.
+
+    Entry [r, p] is l_p * C(n, j-1) + rank(L_r minus l_p); sign p is (-1)^(p+j-1).
+    """
+    subsets, ranks = _faces(n, j)
+    flat = subsets * comb(n, j - 1) + ranks
+    signs = np.where((np.arange(j) + j - 1) % 2, -1.0, 1.0)
+    flat.flags.writeable = False
+    signs.flags.writeable = False
+    return flat, signs
+
+
 def _minors(vectors: np.ndarray) -> np.ndarray:
     """d(L) = det(vectors[L]) over the ascending k-subsets L of the n rows.
 
     ``vectors`` is an (..., n, k) stack; the result is (..., C(n, k)) in lex
-    order.  This is the package's one minor kernel.
+    order.  This is the package's one minor kernel.  The minors over the
+    first j columns are the coordinates of c_1 ^ ... ^ c_j, so each level
+    follows from the last by Laplace expansion along column j-1:
+    d_j(L) = sum_p (-1)^(p+j-1) V[l_p, j-1] d_(j-1)(L minus l_p).
     """
     n, k = vectors.shape[-2:]
-    if k == 1:
-        # np.linalg.det goes through exp(log|x|), which can move a 1 x 1 minor by an ulp.
-        return vectors[..., 0].copy()
-    return np.linalg.det(vectors[..., _subset_array(n, k), :])
+    if k == 0:
+        return np.ones(vectors.shape[:-2] + (1,))
+    minors = vectors[..., 0].copy()
+    for j in range(2, k + 1):
+        flat, signs = _laplace_table(n, j)
+        products = vectors[..., j - 1, None] * minors[..., None, :]
+        minors = products.reshape(products.shape[:-2] + (-1,))[..., flat] @ signs
+    return minors
 
 
 @lru_cache(maxsize=None)
@@ -105,10 +144,7 @@ def _owner_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     Entry [i, rank J] holds the rank of J u {i} among the k-subsets and the
     sign (-1)^#{j in J : j < i}; both are 0 where i lies in J.
     """
-    subsets = _subset_array(n, k)
-    # drop[p] lists the positions kept when position p leaves a k-subset.
-    drop = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
-    ranks = _lex_rank(subsets[:, drop], n)  # ranks[r, p]: rank of L_r minus its p-th element
+    subsets, ranks = _faces(n, k)
     where = np.zeros((n, comb(n, k - 1)), dtype=np.intp)
     signs = np.zeros((n, comb(n, k - 1)))
     where[subsets, ranks] = np.arange(len(subsets))[:, None]
@@ -170,8 +206,12 @@ def compound_matrix(matrix: np.ndarray, level: int) -> np.ndarray:
     rows = _subset_array(a, level)
     cols = comb(b, level)
     out = np.empty((len(rows), cols))
-    # Row-chunked so the materialized minor stack stays bounded.
-    chunk = max(1, 2_000_000 // max(1, cols * level * level))
+    # Row-chunked so the recursion's temporaries stay bounded: per row, level j
+    # holds b * C(b, j-1) products and the j * C(b, j) terms gathered from them.
+    per_row = max(
+        (b * comb(b, j - 1) + j * comb(b, j) for j in range(2, level + 1)), default=1
+    )
+    chunk = max(1, 2_000_000 // per_row)
     for start in range(0, len(rows), chunk):
         samples = m[rows[start : start + chunk]]  # (c, level, b)
         out[start : start + chunk] = _minors(np.swapaxes(samples, 1, 2))

@@ -53,7 +53,7 @@ class BoundPair(NamedTuple):
 def _evaluate(vectors: np.ndarray) -> tuple[np.ndarray, float]:
     """The subset minors d(L) of an n x k frame and its volume sum_L |d(L)|."""
     minors = _minors(vectors)
-    return minors, fsum(np.abs(minors))
+    return minors, fsum(np.abs(minors).tolist())
 
 
 def volume(frame: Frame) -> float:

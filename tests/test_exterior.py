@@ -108,6 +108,30 @@ def test_star_signs_match_permutation_parity_exhaustively():
             np.testing.assert_array_equal(exterior._star_signs(n, level), expected)
 
 
+# ---------------------------------------------------------------- minor kernel
+
+
+def per_subset_minors(vectors):
+    """Oracle: one np.linalg.det per ascending k-subset of the rows, in lex order."""
+    n, k = vectors.shape
+    return np.array([np.linalg.det(vectors[list(rows)]) for rows in combinations(range(n), k)])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_minors_match_per_subset_determinants(n):
+    rng = np.random.default_rng((n, 1))
+    for k in range(n + 1):
+        single = rng.standard_normal((n, k))
+        stacked = rng.standard_normal((3, n, k))  # shaped like a compound_matrix chunk
+        got = [exterior._minors(single), *exterior._minors(stacked)]
+        for vectors, minors in zip([single, *stacked], got):
+            expected = per_subset_minors(vectors)
+            assert minors.shape == (comb(n, k),)
+            if k == 1:
+                np.testing.assert_array_equal(minors, vectors[:, 0])
+            assert np.max(np.abs(minors - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 # ---------------------------------------------------------------- wedge
 
 
@@ -175,6 +199,22 @@ def test_outer_product_sum_lemma(rng):
         w = wedge_coordinates(vectors[list(sub)]).coeffs
         total += np.outer(w, w)
     np.testing.assert_allclose(lifted, total, rtol=1e-9, atol=1e-9)
+
+
+def test_compound_memory_is_bounded(rng):
+    # Rows are chunked so the recursion's temporaries stay near 16 MB, never the
+    # 924 x 15,048 floats of the whole (12, 12) level-6 recursion at once.
+    matrix = rng.standard_normal((12, 12))
+    tracemalloc.start()
+    try:
+        lifted = compound_matrix(matrix, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    rows = exterior._subset_array(12, 6)[[0, 500, 923]]
+    expected = [per_subset_minors(matrix[r].T) for r in rows]
+    np.testing.assert_allclose(lifted[[0, 500, 923]], expected, rtol=0, atol=1e-13)
 
 
 def test_compound_validation():

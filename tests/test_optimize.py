@@ -208,24 +208,31 @@ def test_ascend_reports_lowest_restart_among_rounding_ties():
 
 def test_ascend_evaluates_each_retracted_frame_once(monkeypatch):
     import framevol.optimize as optimize
+    import framevol.zonotope as zonotope
 
-    counts = {"det": 0, "retract": 0}
-    det, retract_frame = np.linalg.det, optimize.retract
+    counts = {"det": 0, "minors": 0, "retract": 0}
+    det, minors, retract_frame = np.linalg.det, zonotope._minors, optimize.retract
 
     def counting_det(a):
         counts["det"] += 1
         return det(a)
+
+    def counting_minors(vectors):
+        counts["minors"] += 1
+        return minors(vectors)
 
     def counting_retract(frame):
         counts["retract"] += 1
         return retract_frame(frame)
 
     monkeypatch.setattr(np.linalg, "det", counting_det)
+    monkeypatch.setattr(zonotope, "_minors", counting_minors)
     monkeypatch.setattr(optimize, "retract", counting_retract)
     start = random_tight_frame(7, 3, np.random.default_rng((5, 0)))
     result = ascend(start, AscentConfig(restarts=1))
     assert result.iterations >= 5
-    assert counts["det"] <= counts["retract"] + 2  # the start, plus one spare
+    assert counts["minors"] <= counts["retract"] + 2  # the start, plus one spare
+    assert counts["det"] == 0  # every minor comes from the Laplace kernel
 
 
 def test_ascend_work_does_not_hang_on_rounding(monkeypatch):

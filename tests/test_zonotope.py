@@ -4,10 +4,12 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from framevol.exterior import minor_vector
+from framevol.exterior import _minors, _subset_array, minor_vector
 from framevol.frames import Frame, TightFrame, random_tight_frame, whiten
 from framevol.zonotope import (
+    ZERO_MINOR_REL,
     DegenerateFrameError,
+    _sign_matrix,
     bounds,
     first_order_residual,
     hyperplane_projection_volume,
@@ -104,6 +106,32 @@ def test_sign_vector_zero_minor_coordinates():
     sigma = sign_vector(frame, 1)
     subsets = list(combinations(range(1, 4), 1))
     assert sigma.form.coeffs[subsets.index((2,))] == 0.0
+
+
+def test_sign_snap_matches_determinant_minors_near_threshold():
+    # Tight frames with one nearly dependent k-subset, so minors straddle the snap.
+    rng = np.random.default_rng(11)
+    snapped = kept = 0
+    for _ in range(500):
+        k = int(rng.integers(2, 7))
+        n = int(rng.integers(k + 1, 11))
+        vectors = rng.standard_normal((n, k))
+        rows = rng.choice(n, size=k, replace=False)
+        eps = 10.0 ** rng.uniform(-13.5, -10.5)
+        vectors[rows[-1]] = rng.standard_normal(k - 1) @ vectors[rows[:-1]]
+        vectors[rows[-1]] += eps * rng.standard_normal(k)
+        frame = TightFrame(np.linalg.qr(vectors)[0])
+        minors = _minors(frame.vectors)
+        expected = np.linalg.det(frame.vectors[_subset_array(n, k)])
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(minors - expected)) <= 1e-14 * scale
+        # Minors within 1e-14 * max of the threshold may snap either way.
+        clear = np.abs(np.abs(expected) - ZERO_MINOR_REL * scale) > 1e-14 * scale
+        np.testing.assert_array_equal(_sign_matrix(minors)[clear], _sign_matrix(expected)[clear])
+        small = np.abs(expected) < 1e-10 * scale
+        snapped += np.sum(small & (np.abs(expected) < ZERO_MINOR_REL * scale))
+        kept += np.sum(small & (np.abs(expected) >= ZERO_MINOR_REL * scale))
+    assert snapped >= 100 and kept >= 100
 
 
 def test_sigma_against_own_minor_vector(rng):
