@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frames import Frame, _require_tight, gram_projection
+from .frames import EmptyComplementError, Frame, _require_tight, gram_projection
 
 # Dense random forms per level checked by hodge_defining_residual.
 _HODGE_DENSE_TRIALS = 4
@@ -326,7 +326,7 @@ def lagrange_residual(frame: Frame) -> float:
     """
     n, k = frame.n, frame.k
     if n == k:
-        raise ValueError("Lagrange identity needs n > k")
+        raise EmptyComplementError("Lagrange identity needs n > k")
     proj = gram_projection(frame)
     rows = _subset_array(n, k)
     p_l = np.linalg.det(proj[rows[:, :, None], rows[:, None, :]])

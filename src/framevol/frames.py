@@ -4,9 +4,9 @@ A frame is an ordered set of n spanning vectors of R^k, stored as the rows
 of an (n, k) array.  A tight frame additionally satisfies
 sum_i v_i v_i^T = I_k; equivalently its k x n matrix is a sub-matrix of an
 orthogonal matrix of order n.  This module provides the frame operator,
-whitening to a tight frame, the Gram projection, lifting to an orthonormal
-basis of R^n, complement frames, seeded random tight frames, and the JSON
-document of a frame.
+whitening to a tight frame, the Gram projection, seeded random tight frames,
+the JSON document of a frame, and the lift to an orthonormal basis of R^n and
+the complement frame, both completed by one complete QR (``_complement_basis``).
 """
 
 from __future__ import annotations
@@ -105,17 +105,17 @@ def is_tight(frame: Frame, tol: float = DEFAULT_TIGHT_TOL) -> TightnessCheck:
 
 
 def _require_tight(frame: Frame) -> None:
+    """Raise NotTightError unless the frame is tight; a TightFrame was checked when built."""
     if not isinstance(frame, TightFrame):
-        check = is_tight(frame)
-        if not check.ok:
-            raise NotTightError(f"tight frame required, residual {check.residual:.3e}")
+        TightFrame(frame.vectors)
 
 
 def whiten(frame: Frame) -> tuple[np.ndarray, TightFrame]:
     """Whitening operator B_S = A_S^(-1/2) and the tight frame {B_S v_i}.
 
     B_S is the inverse symmetric square root of the frame operator, so
-    B_S A_S B_S = I_k and the returned frame is tight.
+    B_S A_S B_S = I_k and the returned frame is tight.  A frame too
+    ill-conditioned to whiten to tightness raises InvalidFrameError.
     """
     a = frame_operator(frame)
     w, q = np.linalg.eigh(a)
@@ -123,7 +123,10 @@ def whiten(frame: Frame) -> tuple[np.ndarray, TightFrame]:
         raise InvalidFrameError("frame operator is numerically singular")
     b = (q / np.sqrt(w)) @ q.T
     b = 0.5 * (b + b.T)
-    return b, TightFrame(frame.vectors @ b)
+    try:
+        return b, TightFrame(frame.vectors @ b)
+    except NotTightError as exc:
+        raise InvalidFrameError(f"frame cannot be whitened to tightness: {exc}") from None
 
 
 def gram_projection(frame: Frame) -> np.ndarray:
@@ -136,40 +139,34 @@ def gram_projection(frame: Frame) -> np.ndarray:
     return frame.vectors @ frame.vectors.T
 
 
+def _complement_basis(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(columns)^perp: the trailing columns of a complete QR."""
+    return np.linalg.qr(columns, mode="complete")[0][:, columns.shape[1]:]
+
+
 def lift_to_basis(frame: Frame) -> np.ndarray:
     """Complete a tight frame's k x n matrix to an n x n orthogonal matrix.
 
     The first k rows are the frame matrix unchanged (bit for bit), so the
     columns f_1, ..., f_n are an orthonormal basis of R^n whose projections
     onto the first k coordinates recover the frame vectors exactly.  The
-    remaining rows are built by Gram-Schmidt against the standard basis with
-    largest-residual pivoting, which fixes the (non-unique) completion
-    deterministically.
+    remaining rows are an orthonormal basis of the complement of the frame
+    matrix's row space, from one complete QR factorization.
     """
     _require_tight(frame)
-    n, k = frame.n, frame.k
-    u = np.zeros((n, n))
-    u[:k] = frame.matrix
-    for m in range(k, n):
-        residuals = np.eye(n) - u[:m].T @ u[:m]
-        j = int(np.argmax(np.linalg.norm(residuals, axis=0)))
-        v = residuals[:, j]
-        v = v - u[:m].T @ (u[:m] @ v)  # second pass keeps the completion orthonormal
-        u[m] = v / np.linalg.norm(v)
-    return u
+    return np.vstack([frame.matrix, _complement_basis(frame.vectors).T])
 
 
 def complement_frame(frame: Frame) -> TightFrame:
     """Tight frame of n vectors in R^(n-k) whose Gram projection is I_n - P^S.
 
-    These are the columns of the completion rows of :func:`lift_to_basis`;
-    the orthogonal gauge of the completion is fixed by the same
-    deterministic pivoting.
+    Its vectors are the columns of the completion rows of
+    :func:`lift_to_basis`, bit for bit, with the same QR gauge.
     """
     if frame.n == frame.k:
         raise EmptyComplementError("complement of a basis (n == k) is empty")
-    u = lift_to_basis(frame)
-    return TightFrame(u[frame.k:].T)
+    _require_tight(frame)
+    return TightFrame(_complement_basis(frame.vectors))
 
 
 def random_tight_frame(n: int, k: int, seed: int | np.random.Generator) -> TightFrame:
@@ -178,7 +175,7 @@ def random_tight_frame(n: int, k: int, seed: int | np.random.Generator) -> Tight
     for _ in range(_RANDOM_RETRIES):
         try:
             return whiten(Frame(rng.standard_normal((k, n)).T))[1]
-        except (InvalidFrameError, NotTightError):  # singular or too ill-conditioned to whiten
+        except InvalidFrameError:  # singular or too ill-conditioned to whiten
             pass
     raise InvalidFrameError(f"failed to sample a spanning {k} x {n} frame")
 

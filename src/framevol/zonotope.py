@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exterior import Form, _minors, _owner_first_minors
-from .frames import Frame, _require_tight, complement_frame
+from .frames import Frame, _complement_basis, _require_tight, complement_frame
 
 # Minors below this fraction of the largest minor count as exact zeros for
 # sign purposes; maximizers have all minors bounded away from zero, so the
@@ -95,34 +95,19 @@ def first_order_residual(frame: Frame) -> float:
     return float(np.max(np.abs(matrix)))
 
 
-def _householder_complement_basis(direction: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of direction^perp: trailing columns of a Householder map."""
-    k = direction.shape[0]
-    unit = direction / np.linalg.norm(direction)
-    sign = 1.0 if unit[0] >= 0.0 else -1.0
-    w = unit.copy()
-    w[0] += sign
-    reflector = np.eye(k) - (2.0 / (w @ w)) * np.outer(w, w)
-    return reflector[:, 1:]
-
-
 def hyperplane_projection_volume(frame: Frame, i: int) -> float:
     """(k-1)-volume of the zonotope projected onto v_i^perp inside R^k.
 
-    Computed by the Shephard sum at level k-1 in a deterministic
-    (Householder) orthonormal basis of v_i^perp; at first-order-critical
-    frames it equals |v_i| F(S).
+    Computed by the Shephard sum at level k-1 in the complete-QR orthonormal
+    basis of v_i^perp; at first-order-critical frames it equals |v_i| F(S).
+    For k = 1 the basis is empty and the one empty minor gives 1.
     """
     if not 1 <= i <= frame.n:
         raise ValueError(f"index {i} out of [1, {frame.n}]")
     direction = frame.vectors[i - 1]
-    norm = float(np.linalg.norm(direction))
-    if norm <= 0.0:
+    if np.linalg.norm(direction) <= 0.0:
         raise DegenerateFrameError(f"vector {i} is zero; no projection direction")
-    if frame.k == 1:
-        return 1.0  # projection onto the zero subspace is a point
-    basis = _householder_complement_basis(direction)
-    return _evaluate(frame.vectors @ basis)[1]
+    return _evaluate(frame.vectors @ _complement_basis(direction[:, None]))[1]
 
 
 def mcmullen_check(frame: Frame) -> McMullenCheck:

@@ -23,7 +23,13 @@ from framevol.exterior import (
     volume_identity_residual,
     wedge_coordinates,
 )
-from framevol.frames import TightFrame, gram_projection, is_tight, random_tight_frame
+from framevol.frames import (
+    EmptyComplementError,
+    TightFrame,
+    gram_projection,
+    is_tight,
+    random_tight_frame,
+)
 
 
 def brute_wedge(vectors):
@@ -542,7 +548,7 @@ def test_lagrange_residual_random_all_subsets(rng):
 
 def test_lagrange_needs_strict_corank(rng):
     frame = random_tight_frame(3, 3, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyComplementError):  # the same error as complement_frame
         lagrange_residual(frame)
 
 

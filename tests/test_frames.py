@@ -19,6 +19,7 @@ from framevol.frames import (
     random_tight_frame,
     whiten,
 )
+from framevol.optimize import _retract_step, retract
 
 STANDARD_2 = np.eye(2)
 DOUBLED = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -130,11 +131,15 @@ def test_lift_diagonal_line():
 
 
 def test_lift_is_orthogonal_and_exact(rng):
-    for n, k in [(4, 2), (6, 3), (7, 5)]:
-        frame = random_tight_frame(n, k, rng)
-        lifted = lift_to_basis(frame)
-        np.testing.assert_allclose(lifted @ lifted.T, np.eye(n), atol=1e-12)
-        assert np.array_equal(lifted[:k], frame.matrix)  # bit-for-bit
+    for n in range(2, 15):
+        for k in range(1, n):
+            frame = random_tight_frame(n, k, rng)
+            lifted = lift_to_basis(frame)
+            completion = lifted[k:]
+            assert np.array_equal(lifted[:k], frame.matrix)  # bit-for-bit
+            np.testing.assert_allclose(completion @ completion.T, np.eye(n - k), atol=1e-12)
+            np.testing.assert_allclose(completion @ frame.vectors, 0.0, atol=1e-12)
+            assert np.array_equal(complement_frame(frame).vectors, completion.T)
 
 
 def test_complement_of_diagonal_line():
@@ -184,6 +189,30 @@ def test_random_tight_frame_redraws_samples_it_cannot_whiten():
     # The first sample of this stream whitens to a tightness residual of 2.6e-9.
     frame = random_tight_frame(4, 4, np.random.default_rng((6, 4, 4, 17)))
     assert is_tight(frame).ok
+
+
+def test_whitening_failure_is_an_invalid_frame():
+    # A spanning (6, 3) frame with singular values (1, 1, 1e-5): its frame operator
+    # clears the eigenvalue floor, but whitening it misses tightness by about 1e-7.
+    rng = np.random.default_rng(0)
+    left, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+    right, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    frame = Frame(left * np.array([1.0, 1.0, 1e-5]) @ right.T)
+    with pytest.raises(InvalidFrameError, match="cannot be whitened to tightness"):
+        whiten(frame)
+    with pytest.raises(InvalidFrameError, match="cannot be whitened to tightness"):
+        retract(frame)
+    start = random_tight_frame(6, 3, seed=1)
+    assert _retract_step(start, frame.vectors - start.vectors, 1.0) is None
+
+
+def test_tightness_failures_share_one_message():
+    messages = []
+    for build in (TightFrame, lambda vectors: gram_projection(Frame(vectors))):
+        with pytest.raises(NotTightError) as info:
+            build(DOUBLED)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "tightness residual 1.000e+00 exceeds 1.0e-09"
 
 
 def test_tight_frame_norm_trace_identity(rng):

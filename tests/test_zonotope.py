@@ -186,9 +186,13 @@ def test_hyperplane_projection_matches_cofactor_sum(rng):
             norms = np.linalg.norm(frame.vectors[i - 1])
             cofactor = np.sum(np.abs(minor_vector(frame, i).coeffs)) / norms
             assert direct == pytest.approx(cofactor, rel=1e-10)
+            # Any orthonormal basis of v_i^perp gives the same volume: here the SVD's.
+            basis = np.linalg.svd(frame.vectors[i - 1][None, :])[2][1:].T
+            assert direct == pytest.approx(brute_volume(frame.vectors @ basis), rel=1e-14)
 
 
 def test_hyperplane_projection_line_case():
+    # k = 1: v_i^perp is {0}, and the one empty minor of the n x 0 projection gives 1.
     assert hyperplane_projection_volume(DIAGONAL_PAIR, 1) == 1.0
 
 
