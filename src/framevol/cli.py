@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from math import inf
 
 import numpy as np
@@ -51,29 +51,6 @@ CSV_HEADER = "n,k,seed,volume,bound_binomial,bound_ball,residual,min_norm_sq,max
 _MIN_SLOPE = 0.05  # redraw perturbations whose predicted slope is this small
 
 
-@dataclass
-class IdentityReport:
-    n: int
-    k: int
-    trials: int
-    seed: int
-    residuals: dict[str, float]
-    thresholds: dict[str, float]
-    skipped: tuple[str, ...]
-
-    @property
-    def rows(self) -> list[list]:
-        """[identity, max residual, tolerance, pass] per identity, in name order."""
-        return [
-            [name, value, self.thresholds[name], value <= self.thresholds[name]]
-            for name, value in sorted(self.residuals.items())
-        ]
-
-    @property
-    def passed(self) -> bool:
-        return all(row[3] for row in self.rows)
-
-
 def _cauchy_binet_residual(rng: np.random.Generator) -> float:
     """Relative residual of compound(AB) = compound(A) compound(B) on random matrices."""
     worst = 0.0
@@ -103,21 +80,19 @@ def _expansion_directions(frame, rng: np.random.Generator) -> np.ndarray:
 
 def run_identity_trials(
     n: int, k: int, trials: int, seed: int, tol: float = DEFAULT_TOL
-) -> IdentityReport:
-    """Max residual of every identity over ``trials`` seeded random tight frames."""
-    residuals: dict[str, float] = {}
-    thresholds: dict[str, float] = {}
-    skipped: list[str] = []
+) -> tuple[list[list], list[str]]:
+    """Max residual of every identity over ``trials`` seeded random tight frames.
+
+    Returns the rows [identity, max residual, tolerance, pass] in name order
+    and the identities skipped because n == k leaves no complement.
+    """
+    worst: dict[str, tuple[float, float]] = {}
 
     def bump(name: str, value: float, threshold: float = tol) -> None:
-        residuals[name] = max(residuals.get(name, 0.0), float(value))
-        thresholds[name] = threshold
+        worst[name] = (max(worst.get(name, (0.0,))[0], float(value)), threshold)
 
     bump("hodge_defining", hodge_defining_residual(n))
     bump("cauchy_binet", _cauchy_binet_residual(np.random.default_rng((seed, n, k))))
-    if n == k:
-        skipped.extend(["lagrange", "mcmullen"])
-
     for trial in range(trials):
         rng = np.random.default_rng((seed, n, k, trial))
         frame = random_tight_frame(n, k, rng)
@@ -134,15 +109,8 @@ def run_identity_trials(
             bump("mcmullen", mcmullen_check(frame).gap)
         check = determinant_expansion_check(frame, _expansion_directions(frame, rng))
         bump("det_expansion_slope", check.relative_error, SLOPE_TOL)
-    return IdentityReport(
-        n=n,
-        k=k,
-        trials=trials,
-        seed=seed,
-        residuals=residuals,
-        thresholds=thresholds,
-        skipped=tuple(skipped),
-    )
+    rows = [[name, value, limit, value <= limit] for name, (value, limit) in sorted(worst.items())]
+    return rows, ["lagrange", "mcmullen"] if n == k else []
 
 
 def _note(args: argparse.Namespace, message: str) -> None:
@@ -175,31 +143,27 @@ def _csv_row(n: int, k: int, seed: int, run) -> list:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, str, list[list], int]:
-    report = run_identity_trials(args.n, args.k, args.trials, args.seed, args.tol)
-    for name in report.skipped:
+    rows, skipped = run_identity_trials(args.n, args.k, args.trials, args.seed, args.tol)
+    for name in skipped:
         _note(args, f"notice: {name} skipped (n == k has no complement)")
-    rows = report.rows
     for name, value, limit, ok in rows:
         state = "ok" if ok else "VIOLATION"
         _note(args, f"{name:<24} max residual {value:.3e}  (tol {limit:.1e})  {state}")
+    passed = all(row[3] for row in rows)
     doc = {
         "command": "verify",
-        "n": report.n,
-        "k": report.k,
-        "trials": report.trials,
-        "seed": report.seed,
+        "n": args.n,
+        "k": args.k,
+        "trials": args.trials,
+        "seed": args.seed,
         "identities": {
             name: {"max_residual": value, "tolerance": limit, "pass": ok}
             for name, value, limit, ok in rows
         },
-        "skipped": list(report.skipped),
-        "pass": report.passed,
+        "skipped": skipped,
+        "pass": passed,
     }
-    return doc, "identity,max_residual,tolerance,pass", rows, 0 if report.passed else 1
-
-
-def _ascent_config(args: argparse.Namespace) -> AscentConfig:
-    return AscentConfig(tolerance=args.tol, restarts=args.restarts, seed=args.seed)
+    return doc, "identity,max_residual,tolerance,pass", rows, 0 if passed else 1
 
 
 def _result_document(args: argparse.Namespace, result: OptimizationResult) -> dict:
@@ -237,7 +201,7 @@ def _result_document(args: argparse.Namespace, result: OptimizationResult) -> di
 
 def cmd_maximize(args: argparse.Namespace) -> tuple[dict, str, list[list], int]:
     start = random_tight_frame(args.n, args.k, np.random.default_rng((args.seed, 0)))
-    result = ascend(start, _ascent_config(args))
+    result = ascend(start, args.config)
     if not result.converged:
         print(
             f"warning: best restart stalled at residual {result.residual:.3e}",
@@ -258,7 +222,7 @@ def cmd_maximize(args: argparse.Namespace) -> tuple[dict, str, list[list], int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[dict, str, list[list], int]:
-    rows = stability_scan(args.q, args.n_min, args.n_max, _ascent_config(args))
+    rows = stability_scan(args.q, args.n_min, args.n_max, args.config)
     _note(args, f"{'n':>3} {'k':>3} {'volume':>14} {'ratio':>12} {'bound':>12}")
     for row in rows:
         _note(
@@ -389,7 +353,7 @@ def _validate(args: argparse.Namespace) -> None:
             error("n must be positive")
     if args.command in ("maximize", "sweep"):
         try:
-            _ascent_config(args)
+            args.config = AscentConfig(tolerance=args.tol, restarts=args.restarts, seed=args.seed)
         except ValueError as exc:
             error(str(exc))
 

@@ -22,8 +22,9 @@ minors as (-1)^#{j in J : j < i} d(J u {i}).
 Subset tables come from ``_subset_array`` and closed forms, never from a
 rank lookup: complementation reverses lex order, so the star is a sign
 times a reversal, and ``_lex_rank`` ranks stacks of subsets arithmetically.
-``_faces`` ranks the faces L minus l_p of every k-subset once, for both the
-Laplace gather and the owner-first gather.
+``_laplace_table`` ranks the faces L minus l_p of every k-subset once; its
+flat index is also the owner slot of L, so the owner-first gather table is
+scattered from it.
 
 Orientation convention: d_S(i) places the owner vector first, so its
 coordinate at L is det(v_i, v_{l_1}, ..., v_{l_{k-1}}) with L ascending.
@@ -91,26 +92,16 @@ def _lex_rank(rows: np.ndarray, n: int) -> np.ndarray:
     return comb(n, m) - 1 - later
 
 
-def _faces(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending k-subsets L of range(n) and the ranks of their faces.
-
-    Entry [r, p] of the second array is the rank among the (k-1)-subsets of
-    L_r minus its p-th element.
-    """
-    subsets = _subset_array(n, k)
-    # drop[p] lists the positions kept when position p leaves a k-subset.
-    drop = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
-    return subsets, _lex_rank(subsets[:, drop], n)
-
-
 @lru_cache(maxsize=None)
 def _laplace_table(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat gather index into the (n, C(n, j-1)) products and the Laplace signs.
 
     Entry [r, p] is l_p * C(n, j-1) + rank(L_r minus l_p); sign p is (-1)^(p+j-1).
     """
-    subsets, ranks = _faces(n, j)
-    flat = subsets * comb(n, j - 1) + ranks
+    subsets = _subset_array(n, j)
+    # drop[p] lists the positions kept when position p leaves a j-subset.
+    drop = np.arange(j - 1) + (np.arange(j - 1) >= np.arange(j)[:, None])
+    flat = subsets * comb(n, j - 1) + _lex_rank(subsets[:, drop], n)
     signs = np.where((np.arange(j) + j - 1) % 2, -1.0, 1.0)
     flat.flags.writeable = False
     signs.flags.writeable = False
@@ -142,13 +133,14 @@ def _owner_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather table of det(v_i, v_J) = sign * d(J u {i}) over (k-1)-subsets J.
 
     Entry [i, rank J] holds the rank of J u {i} among the k-subsets and the
-    sign (-1)^#{j in J : j < i}; both are 0 where i lies in J.
+    sign (-1)^#{j in J : j < i}; both are 0 where i lies in J.  The Laplace
+    index of (L_r, p) is exactly the slot [l_p, rank(L_r minus l_p)].
     """
-    subsets, ranks = _faces(n, k)
+    flat = _laplace_table(n, k)[0]
     where = np.zeros((n, comb(n, k - 1)), dtype=np.intp)
     signs = np.zeros((n, comb(n, k - 1)))
-    where[subsets, ranks] = np.arange(len(subsets))[:, None]
-    signs[subsets, ranks] = np.where(np.arange(k) % 2, -1.0, 1.0)
+    where.reshape(-1)[flat] = np.arange(len(flat))[:, None]
+    signs.reshape(-1)[flat] = np.where(np.arange(k) % 2, -1.0, 1.0)
     where.flags.writeable = False
     signs.flags.writeable = False
     return where, signs

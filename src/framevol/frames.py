@@ -104,10 +104,9 @@ def is_tight(frame: Frame, tol: float = DEFAULT_TIGHT_TOL) -> TightnessCheck:
     return TightnessCheck(residual <= tol, residual)
 
 
-def _require_tight(frame: Frame) -> None:
-    """Raise NotTightError unless the frame is tight; a TightFrame was checked when built."""
-    if not isinstance(frame, TightFrame):
-        TightFrame(frame.vectors)
+def _require_tight(frame: Frame) -> TightFrame:
+    """The frame as a TightFrame, itself if it is one; raises NotTightError unless tight."""
+    return frame if isinstance(frame, TightFrame) else TightFrame(frame.vectors)
 
 
 def whiten(frame: Frame) -> tuple[np.ndarray, TightFrame]:

@@ -226,20 +226,19 @@ def _ascend_single(start: TightFrame, cfg: AscentConfig, restart: int) -> Restar
 def ascend(start: TightFrame, cfg: AscentConfig | None = None) -> OptimizationResult:
     """Multistart first-order ascent from ``start``; restarts are seeded random frames.
 
-    Restart r > 0 draws its starting tight frame with seed (cfg.seed, r).
+    Restart 0 starts from ``start``, which must be tight; a plain Frame is
+    taken as it is, not whitened again.  Restart r > 0 draws its starting
+    tight frame with seed (cfg.seed, r).
     The lowest-numbered restart within a relative 1e-12 of the best volume
     is reported, so ties at rounding level do not decide.  Never raises on
     non-convergence: the best iterate is always returned with its residual
     and convergence flag.
     """
     cfg = cfg or AscentConfig()
-    _require_tight(start)
-    records = []
-    for r in range(cfg.restarts):
-        if r == 0:
-            frame = start if isinstance(start, TightFrame) else retract(start)
-        else:
-            frame = random_tight_frame(start.n, start.k, np.random.default_rng((cfg.seed, r)))
+    start = _require_tight(start)
+    records = [_ascend_single(start, cfg, restart=0)]
+    for r in range(1, cfg.restarts):
+        frame = random_tight_frame(start.n, start.k, np.random.default_rng((cfg.seed, r)))
         records.append(_ascend_single(frame, cfg, restart=r))
     top = max(rec.volume for rec in records)
     best = next(rec for rec in records if rec.volume >= top * (1.0 - _RESTART_TIE))

@@ -105,7 +105,7 @@ def hyperplane_projection_volume(frame: Frame, i: int) -> float:
     if not 1 <= i <= frame.n:
         raise ValueError(f"index {i} out of [1, {frame.n}]")
     direction = frame.vectors[i - 1]
-    if np.linalg.norm(direction) <= 0.0:
+    if not np.any(direction):
         raise DegenerateFrameError(f"vector {i} is zero; no projection direction")
     return _evaluate(frame.vectors @ _complement_basis(direction[:, None]))[1]
 

@@ -205,9 +205,10 @@ def test_unwritable_output_reports_io_error(tmp_path, capsys):
 
 
 def test_identity_trials_library_entry():
-    report = run_identity_trials(4, 2, trials=2, seed=3)
-    assert report.passed
-    assert report.residuals["tightness"] < 1e-12
+    rows, skipped = run_identity_trials(4, 2, trials=2, seed=3)
+    assert skipped == []
+    assert all(row[3] for row in rows)
+    assert {name: value for name, value, *_ in rows}["tightness"] < 1e-12
 
 
 SMALL_RUNS = {

@@ -1,6 +1,6 @@
 from dataclasses import fields
 from itertools import combinations
-from math import pi, sin, sqrt
+from math import pi, sin, sqrt, tan
 
 import numpy as np
 import pytest
@@ -130,6 +130,29 @@ def test_ascend_from_mercedes_terminates_immediately(mercedes):
     assert result.converged
     assert result.iterations == 0
     assert result.volume == pytest.approx(sqrt(3.0), abs=1e-12)
+
+
+def test_ascend_takes_a_tight_plain_frame_as_it_is():
+    vectors = random_tight_frame(7, 3, np.random.default_rng((5, 0))).vectors
+    plain, tight = ascend(Frame(vectors)), ascend(TightFrame(vectors))
+    assert plain.volume == tight.volume
+    assert plain.residual == tight.residual
+    assert np.array_equal(plain.frame.vectors, tight.frame.vectors)
+    assert [r.trace for r in plain.restarts] == [r.trace for r in tight.restarts]
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    sorted({(n, k) for n in range(3, 15) for k in (1, 2, n - 2, n - 1)}),
+)
+def test_ascend_reaches_closed_form_maxima(n, k):
+    # sqrt(n) for k = 1 and n - 1; cot(pi / 2n), the regular 2n-gon, for k = 2
+    # and, by McMullen duality, for k = n - 2.
+    expected = sqrt(n) if k in (1, n - 1) else 1.0 / tan(pi / (2 * n))
+    start = random_tight_frame(n, k, np.random.default_rng((5, n, k)))
+    result = ascend(start, AscentConfig(restarts=1))
+    assert result.converged
+    assert result.volume == pytest.approx(expected, rel=1e-12)
 
 
 def test_ascend_finds_mercedes_from_random_starts():

@@ -202,6 +202,12 @@ def test_hyperplane_projection_zero_direction():
         hyperplane_projection_volume(frame, 3)
 
 
+def test_hyperplane_projection_tiny_direction():
+    # The norm of (1e-170, 0) underflows to 0, but the direction is not zero.
+    frame = Frame([[1e-170, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert hyperplane_projection_volume(frame, 1) == 2.0
+
+
 # ---------------------------------------------------------------- McMullen duality
 
 
