@@ -87,6 +87,7 @@ def run_identity_trials(
     and the identities skipped because n == k leaves no complement.
     """
     worst: dict[str, tuple[float, float]] = {}
+    complement = n > k  # the complement identities need n - k >= 1
 
     def bump(name: str, value: float, threshold: float = tol) -> None:
         worst[name] = (max(worst.get(name, (0.0,))[0], float(value)), threshold)
@@ -104,13 +105,13 @@ def run_identity_trials(
         for size in (1, 2):
             if size <= k:
                 bump("volume_identity", volume_identity_residual(frame, size))
-        if n > k:
+        if complement:
             bump("lagrange", lagrange_residual(frame))
             bump("mcmullen", mcmullen_check(frame).gap)
         check = determinant_expansion_check(frame, _expansion_directions(frame, rng))
         bump("det_expansion_slope", check.relative_error, SLOPE_TOL)
     rows = [[name, value, limit, value <= limit] for name, (value, limit) in sorted(worst.items())]
-    return rows, ["lagrange", "mcmullen"] if n == k else []
+    return rows, [] if complement else ["lagrange", "mcmullen"]
 
 
 def _note(args: argparse.Namespace, message: str) -> None:
@@ -256,15 +257,31 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[dict, str, list[list], int]:
     return doc, header, rows, 0
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: numpy takes only non-negative integer seeds."""
+def _count(low: int, high: float = inf):
+    """argparse type of an integer option in [low, high]; a finite high is the n cost cap."""
+    span = f"in [{low}, {high}] (the n <= {high} cost cap)" if high < inf else f">= {low}"
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected an integer {span}, got {text!r}")
+        return value
+
+    return count
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite positive number."""
     try:
-        seed = int(text)
+        tol = float(text)
     except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return seed
+        tol = -1.0
+    if not 0.0 < tol < inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,34 +300,38 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true", help="suppress diagnostics")
 
     def add_run(p: argparse.ArgumentParser, tol: float) -> None:
-        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="master RNG seed")
-        p.add_argument("--tol", type=float, default=tol, help=f"tolerance (default {tol:g})")
+        p.add_argument("--seed", type=_count(0), default=DEFAULT_SEED, help="master RNG seed")
+        p.add_argument("--tol", type=_tolerance, default=tol, help=f"tolerance (default {tol:g})")
         add_output(p)
 
+    size, positive = _count(1, MAX_N), _count(1)
     verify = sub.add_parser("verify", help="run the identity suite on random tight frames")
-    verify.add_argument("--n", type=int, required=True)
-    verify.add_argument("--k", type=int, required=True)
-    verify.add_argument("--trials", type=int, default=20)
+    verify.add_argument("--n", type=size, required=True)
+    verify.add_argument("--k", type=positive, required=True)
+    verify.add_argument("--trials", type=positive, default=20)
+    verify.set_defaults(run=cmd_verify)
     add_run(verify, DEFAULT_TOL)
 
     maximize = sub.add_parser("maximize", help="maximize the zonotope volume at (n, k)")
-    maximize.add_argument("--n", type=int, required=True)
-    maximize.add_argument("--k", type=int, required=True)
-    maximize.add_argument("--restarts", type=int, default=8)
+    maximize.add_argument("--n", type=size, required=True)
+    maximize.add_argument("--k", type=positive, required=True)
+    maximize.add_argument("--restarts", type=positive, default=8)
+    maximize.set_defaults(run=cmd_maximize)
     add_run(maximize, AscentConfig.tolerance)
 
     sweep = sub.add_parser("sweep", help="stability scan at codimension q")
-    sweep.add_argument("--q", type=int, required=True)
-    sweep.add_argument("--n-min", dest="n_min", type=int, required=True)
-    sweep.add_argument("--n-max", dest="n_max", type=int, required=True)
-    sweep.add_argument("--restarts", type=int, default=6)
+    sweep.add_argument("--q", type=positive, required=True)
+    sweep.add_argument("--n-min", dest="n_min", type=size, required=True)
+    sweep.add_argument("--n-max", dest="n_max", type=size, required=True)
+    sweep.add_argument("--restarts", type=positive, default=6)
+    sweep.set_defaults(run=cmd_sweep)
     add_run(sweep, AscentConfig.tolerance)
 
     bound = sub.add_parser("bounds", help="print projection volume bounds")
-    bound.add_argument("--n", type=int, default=None)
-    bound.add_argument("--k", type=int, default=None)
-    bound.add_argument("--n-min", dest="n_min", type=int, default=None)
-    bound.add_argument("--n-max", dest="n_max", type=int, default=None)
+    bound.add_argument("--n-min", dest="n_min", type=size, required=True)
+    bound.add_argument("--n-max", dest="n_max", type=size, required=True)
+    bound.add_argument("--k", type=positive, default=None)
+    bound.set_defaults(run=cmd_bounds)
     add_output(bound)
     for command in sub.choices.values():
         command.set_defaults(usage_error=command.error)
@@ -318,52 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args: argparse.Namespace) -> None:
+    """Check the rules between options; each option's own range is its argparse type."""
     error = args.usage_error  # the subcommand's own parser reports the usage line
-    if args.command in ("verify", "maximize"):
-        if not 1 <= args.k <= args.n:
-            error(f"need 1 <= k <= n, got n={args.n}, k={args.k}")
-        if args.n > MAX_N:
-            error(f"n={args.n} exceeds the n <= {MAX_N} cost cap")
-    if args.command == "verify":
-        if args.trials < 1:
-            error("--trials must be positive")
-        if not 0.0 < args.tol < inf:
-            error("--tol must be finite and positive")
-    elif args.command == "sweep":
-        if not 0 < args.q < args.n_min:
-            error(f"need 0 < q < n-min, got q={args.q}, n-min={args.n_min}")
-        if args.n_max < args.n_min:
-            error("empty range: --n-max below --n-min")
-        if args.n_max > MAX_N:
-            error(f"n-max={args.n_max} exceeds the n <= {MAX_N} cost cap")
-    elif args.command == "bounds":
-        if args.n is not None:
-            if (args.n_min, args.n_max) != (None, None):
-                error("--n cannot be combined with --n-min or --n-max")
-            args.n_min = args.n_max = args.n
-        if args.n_min is None or args.n_max is None:
-            error("bounds needs --n or both --n-min and --n-max")
-        if args.n_max > MAX_N:
-            error(f"n={args.n_max} exceeds the n <= {MAX_N} cost cap")
-        if args.k is not None and not 1 <= args.k <= args.n_max:
-            error(f"--k must lie in [1, {args.n_max}], got {args.k}")
-        if args.n_max < args.n_min:
-            error("empty range: --n-max below --n-min")
-        if args.n_min < 1:
-            error("n must be positive")
+    if args.command in ("verify", "maximize") and args.k > args.n:
+        error(f"need k <= n, got n={args.n}, k={args.k}")
+    if args.command == "sweep" and args.q >= args.n_min:
+        error(f"need q < n-min, got q={args.q}, n-min={args.n_min}")
+    if args.command in ("sweep", "bounds") and args.n_max < args.n_min:
+        error("empty range: --n-max below --n-min")
+    if args.command == "bounds" and args.k is not None and args.k > args.n_max:
+        error(f"need k <= n-max, got k={args.k}, n-max={args.n_max}")
     if args.command in ("maximize", "sweep"):
-        try:
-            args.config = AscentConfig(tolerance=args.tol, restarts=args.restarts, seed=args.seed)
-        except ValueError as exc:
-            error(str(exc))
-
-
-_COMMANDS = {
-    "verify": cmd_verify,
-    "maximize": cmd_maximize,
-    "sweep": cmd_sweep,
-    "bounds": cmd_bounds,
-}
+        args.config = AscentConfig(tolerance=args.tol, restarts=args.restarts, seed=args.seed)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -372,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     _validate(args)
-    doc, header, rows, code = _COMMANDS[args.command](args)
+    doc, header, rows, code = args.run(args)
     if args.fmt == "json":
         text = json.dumps(doc, indent=2) + "\n"
     else:

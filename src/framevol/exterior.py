@@ -8,8 +8,10 @@ minor forms d_S(i), and residuals for the tight-frame identities
 (cross-product tightness, unit decompositions at every level, the
 volume identity P_I = sum of P_T over T containing I, and the
 Lagrange/complement identity P_L = P_perp over the complementary set).
-Each identity residual is the maximum over all of a frame's index sets,
-taken with one stacked determinant per side.
+Each identity residual covers all of a frame's index sets at once: the
+Lagrange identity with one stacked determinant per side, the volume identity
+with stacked Gram determinants against squared minors, and cross-product
+tightness and the unit decompositions from the minor kernel via compounds.
 
 Every minor comes from one kernel, ``_minors``: the determinants of the
 rows of an (n, k) array over its C(n, k) ascending k-subsets.  They are the

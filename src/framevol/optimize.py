@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -79,8 +80,10 @@ class AscentConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError("tolerance must be finite and positive")
-        if self.restarts < 1:
-            raise ValueError("need at least one restart")
+        if not (isinstance(self.restarts, Integral) and self.restarts >= 1):
+            raise ValueError("restarts must be an integer >= 1")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True, slots=True)

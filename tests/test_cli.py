@@ -158,8 +158,6 @@ def test_sweep_usage_error():
         ["bounds", "--n-min", "2", "--n-max", "4", "--k", "0"],
         ["bounds", "--n-min", "2", "--n-max", "4", "--k", "9"],
         ["bounds", "--n-min", "2", "--n-max", "4", "--seed", "1"],
-        ["bounds", "--n", "3", "--n-min", "5", "--n-max", "4"],
-        ["bounds", "--n", "3", "--n-min", "1", "--n-max", "10"],
     ],
 )
 def test_bad_option_values_are_usage_errors(argv, capsys):
@@ -171,8 +169,33 @@ def test_bad_option_values_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "--n", "15", "--k", "2"], "--n"),
+        (["verify", "--n", "x", "--k", "2"], "--n"),
+        (["verify", "--n", "3", "--k", "0"], "--k"),
+        (["verify", "--n", "3", "--k", "2", "--trials", "0"], "--trials"),
+        (["verify", "--n", "3", "--k", "2", "--seed", "x"], "--seed"),
+        (["maximize", "--n", "0", "--k", "1"], "--n"),
+        (["maximize", "--n", "3", "--k", "2", "--tol", "0"], "--tol"),
+        (["maximize", "--n", "3", "--k", "2", "--restarts", "0"], "--restarts"),
+        (["sweep", "--q", "0", "--n-min", "3", "--n-max", "4"], "--q"),
+        (["sweep", "--q", "1", "--n-min", "3", "--n-max", "15"], "--n-max"),
+        (["bounds", "--n-min", "0", "--n-max", "3"], "--n-min"),
+        (["bounds", "--n-min", "2", "--n-max", "4", "--k", "0"], "--k"),
+    ],
+)
+def test_range_errors_name_their_option(argv, option, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: framevol {argv[0]} ")
+    assert f"framevol {argv[0]}: error: argument {option}: expected " in err
+    assert ("cost cap" in err) == (option in ("--n", "--n-min", "--n-max"))
+
+
 def test_bounds_single_pair(capsys):
-    code = run_cli(["bounds", "--n", "3", "--k", "2", "--quiet"])
+    code = run_cli(["bounds", "--n-min", "3", "--n-max", "3", "--k", "2", "--quiet"])
     captured = capsys.readouterr()
     assert code == 0
     doc = json.loads(captured.out)
@@ -192,16 +215,20 @@ def test_bounds_range_csv(capsys):
     assert len(lines) == 1 + 2 + 3 + 4  # all k <= n per n
 
 
-def test_bounds_usage_error():
-    assert run_cli(["bounds"]) == 2
+def test_bounds_usage_error(capsys):
+    # bounds takes its range only as --n-min and --n-max, both required.
+    for argv in (["bounds"], ["bounds", "--n-min", "3"], ["bounds", "--n", "3"]):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("usage: framevol bounds ")
 
 
 def test_unwritable_output_reports_io_error(tmp_path, capsys):
     missing = tmp_path / "no_such_dir" / "out.json"
-    code = run_cli(["bounds", "--n", "3", "--quiet", "--out", str(missing)])
+    code = run_cli(["bounds", "--n-min", "3", "--n-max", "3", "--quiet", "--out", str(missing)])
     captured = capsys.readouterr()
     assert code == 2
-    assert "error" in captured.err
+    assert "cannot write" in captured.err
+    assert "usage:" not in captured.err
 
 
 def test_identity_trials_library_entry():
@@ -274,7 +301,7 @@ def _run_module(*argv: str) -> subprocess.CompletedProcess:
 
 
 def test_module_entry_point_writes_what_main_writes(capsys):
-    argv = ["bounds", "--n", "3", "--k", "2", "--quiet"]
+    argv = ["bounds", "--n-min", "3", "--n-max", "3", "--k", "2", "--quiet"]
     proc = _run_module(*argv)
     assert proc.returncode == 0
     assert run_cli(argv) == 0

@@ -317,8 +317,14 @@ def test_ascend_config_has_only_tolerance_restarts_and_seed():
 
 
 def test_ascend_config_validation():
-    with pytest.raises(ValueError):
-        AscentConfig(restarts=0)
+    # A bad seed or restart count must fail here, not inside numpy after restart 0 has run.
+    for restarts in (0, -1, 1.5, 2.0):
+        with pytest.raises(ValueError):
+            AscentConfig(restarts=restarts)
+    for seed in (-1, -2, 1.5, 0.0):
+        with pytest.raises(ValueError):
+            AscentConfig(restarts=3, seed=seed)
+    assert AscentConfig(restarts=np.int64(2), seed=np.int64(0)).restarts == 2
     for tolerance in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             AscentConfig(tolerance=tolerance)
