@@ -18,28 +18,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
-from math import inf
+from dataclasses import asdict, fields
+from math import comb, inf
 
 import numpy as np
 
 from .exterior import (
-    hodge_defining_residual,
+    _cross_tight,
+    _lagrange,
+    _unit_decomposition,
+    _volume_identity,
     compound_matrix,
-    lagrange_residual,
-    unit_decomposition_residual,
-    verify_cross_tight,
-    volume_identity_residual,
+    hodge_defining_residual,
 )
 from .frames import frame_document, is_tight, random_tight_frame
-from .optimize import (
-    AscentConfig,
-    OptimizationResult,
-    ascend,
-    determinant_expansion_check,
-    stability_scan,
-)
-from .zonotope import bounds, mcmullen_check
+from .optimize import AscentConfig, OptimizationResult, _expansion_fit, ascend, stability_scan
+from .zonotope import _mcmullen_volumes, bounds
 
 DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-9
@@ -49,6 +43,10 @@ MAX_N = 14  # C(n, k) cost cap
 CSV_HEADER = "n,k,seed,volume,bound_binomial,bound_ball,residual,min_norm_sq,max_norm_sq"
 
 _MIN_SLOPE = 0.05  # redraw perturbations whose predicted slope is this small
+# Entries allowed in the largest stacked temporary of one block of trial frames, the
+# Lagrange gather of C(n, k) * max(k, n - k)^2 entries per frame: 7 frames at (8, 4).
+# Larger blocks save little more time and raise the peak memory of a verify run.
+_BLOCK_ENTRIES = 1 << 13
 
 
 def _cauchy_binet_residual(rng: np.random.Generator) -> float:
@@ -83,33 +81,41 @@ def run_identity_trials(
 ) -> tuple[list[list], list[str]]:
     """Max residual of every identity over ``trials`` seeded random tight frames.
 
-    Returns the rows [identity, max residual, tolerance, pass] in name order
-    and the identities skipped because n == k leaves no complement.
+    Trial t draws its frame and directions with the seed (seed, n, k, t); the
+    identities then run over blocks of stacked frames, through the kernels of
+    their per-frame functions.  Returns the rows [identity, max residual,
+    tolerance, pass] in name order and the identities skipped at n == k.
     """
     worst: dict[str, tuple[float, float]] = {}
     complement = n > k  # the complement identities need n - k >= 1
 
-    def bump(name: str, value: float, threshold: float = tol) -> None:
-        worst[name] = (max(worst.get(name, (0.0,))[0], float(value)), threshold)
+    def bump(name: str, values, threshold: float = tol) -> None:
+        worst[name] = (max(worst.get(name, (0.0,))[0], *map(float, values)), threshold)
 
-    bump("hodge_defining", hodge_defining_residual(n))
-    bump("cauchy_binet", _cauchy_binet_residual(np.random.default_rng((seed, n, k))))
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, n, k, trial))
-        frame = random_tight_frame(n, k, rng)
-        bump("tightness", is_tight(frame).residual)
-        bump("cross_tight", verify_cross_tight(frame))
+    bump("hodge_defining", [hodge_defining_residual(n)])
+    bump("cauchy_binet", [_cauchy_binet_residual(np.random.default_rng((seed, n, k)))])
+    block = max(1, _BLOCK_ENTRIES // (comb(n, k) * max(k, n - k) ** 2))
+    for start in range(0, trials, block):
+        frames, directions = [], []
+        for trial in range(start, min(start + block, trials)):
+            rng = np.random.default_rng((seed, n, k, trial))
+            frame = random_tight_frame(n, k, rng)
+            bump("tightness", [is_tight(frame).residual])
+            frames.append(frame.vectors)
+            directions.append(_expansion_directions(frame, rng))
+        vectors = np.stack(frames)
+        bump("cross_tight", _cross_tight(vectors))
         if k >= 2:
-            bump("unit_decomposition_l2", unit_decomposition_residual(frame, 2))
-        bump("unit_decomposition_lk", unit_decomposition_residual(frame, k))
+            bump("unit_decomposition_l2", _unit_decomposition(vectors, 2))
+        bump("unit_decomposition_lk", _unit_decomposition(vectors, k))
         for size in (1, 2):
             if size <= k:
-                bump("volume_identity", volume_identity_residual(frame, size))
+                bump("volume_identity", _volume_identity(vectors, size))
         if complement:
-            bump("lagrange", lagrange_residual(frame))
-            bump("mcmullen", mcmullen_check(frame).gap)
-        check = determinant_expansion_check(frame, _expansion_directions(frame, rng))
-        bump("det_expansion_slope", check.relative_error, SLOPE_TOL)
+            bump("lagrange", _lagrange(vectors))
+            primal, dual = _mcmullen_volumes(vectors)
+            bump("mcmullen", np.abs(primal - dual))
+        bump("det_expansion_slope", _expansion_fit(vectors, np.stack(directions))[:, 2], SLOPE_TOL)
     rows = [[name, value, limit, value <= limit] for name, (value, limit) in sorted(worst.items())]
     return rows, [] if complement else ["lagrange", "mcmullen"]
 
@@ -130,17 +136,8 @@ def _csv_cell(cell) -> str:
 def _csv_row(n: int, k: int, seed: int, run) -> list:
     """The CSV_HEADER row of an OptimizationResult or a StabilityRow at (n, k)."""
     pair = bounds(n, k)
-    return [
-        n,
-        k,
-        seed,
-        run.volume,
-        pair.binomial,
-        pair.ball,
-        run.residual,
-        run.min_norm_sq,
-        run.max_norm_sq,
-    ]
+    volumes = [run.volume, pair.binomial, pair.ball]
+    return [n, k, seed, *volumes, run.residual, run.min_norm_sq, run.max_norm_sq]
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, str, list[list], int]:
@@ -151,19 +148,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, str, list[list], int]:
         state = "ok" if ok else "VIOLATION"
         _note(args, f"{name:<24} max residual {value:.3e}  (tol {limit:.1e})  {state}")
     passed = all(row[3] for row in rows)
-    doc = {
-        "command": "verify",
-        "n": args.n,
-        "k": args.k,
-        "trials": args.trials,
-        "seed": args.seed,
-        "identities": {
-            name: {"max_residual": value, "tolerance": limit, "pass": ok}
-            for name, value, limit, ok in rows
-        },
-        "skipped": skipped,
-        "pass": passed,
+    echo = {"command": "verify", "n": args.n, "k": args.k, "trials": args.trials, "seed": args.seed}
+    identities = {
+        name: {"max_residual": value, "tolerance": limit, "pass": ok}
+        for name, value, limit, ok in rows
     }
+    doc = echo | {"identities": identities, "skipped": skipped, "pass": passed}
     return doc, "identity,max_residual,tolerance,pass", rows, 0 if passed else 1
 
 
@@ -187,14 +177,7 @@ def _result_document(args: argparse.Namespace, result: OptimizationResult) -> di
         "ratio_check": {"min_ratio": result.ratio.min_ratio, "pass": result.ratio.ok},
         "frame": frame_document(result.frame),
         "restarts": [
-            {
-                "restart": record.restart,
-                "volume": record.volume,
-                "residual": record.residual,
-                "iterations": record.iterations,
-                "converged": record.converged,
-                "trace": list(record.trace),
-            }
+            {f.name: getattr(record, f.name) for f in fields(record) if f.name != "frame"}
             for record in result.restarts
         ],
     }
@@ -204,10 +187,7 @@ def cmd_maximize(args: argparse.Namespace) -> tuple[dict, str, list[list], int]:
     start = random_tight_frame(args.n, args.k, np.random.default_rng((args.seed, 0)))
     result = ascend(start, args.config)
     if not result.converged:
-        print(
-            f"warning: best restart stalled at residual {result.residual:.3e}",
-            file=sys.stderr,
-        )
+        print(f"warning: best restart stalled at residual {result.residual:.3e}", file=sys.stderr)
     pair = bounds(args.n, args.k)
     _note(args, f"volume         {result.volume:.9g}")
     _note(args, f"bound sqrt(C)  {pair.binomial:.9g}")
@@ -288,6 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framevol",
         description="Tight-frame identities and zonotope volume maximization.",
+        epilog="Options must be spelled in full; prefixes such as --n-mi are refused.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -304,43 +286,43 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_tolerance, default=tol, help=f"tolerance (default {tol:g})")
         add_output(p)
 
+    def add_command(name: str, summary: str, run) -> argparse.ArgumentParser:
+        command = sub.add_parser(name, help=summary, allow_abbrev=False)
+        # The subcommand's own parser reports its usage errors, with its usage line.
+        command.set_defaults(run=run, usage_error=command.error)
+        return command
+
     size, positive = _count(1, MAX_N), _count(1)
-    verify = sub.add_parser("verify", help="run the identity suite on random tight frames")
+    verify = add_command("verify", "run the identity suite on random tight frames", cmd_verify)
     verify.add_argument("--n", type=size, required=True)
     verify.add_argument("--k", type=positive, required=True)
     verify.add_argument("--trials", type=positive, default=20)
-    verify.set_defaults(run=cmd_verify)
     add_run(verify, DEFAULT_TOL)
 
-    maximize = sub.add_parser("maximize", help="maximize the zonotope volume at (n, k)")
+    maximize = add_command("maximize", "maximize the zonotope volume at (n, k)", cmd_maximize)
     maximize.add_argument("--n", type=size, required=True)
     maximize.add_argument("--k", type=positive, required=True)
     maximize.add_argument("--restarts", type=positive, default=8)
-    maximize.set_defaults(run=cmd_maximize)
     add_run(maximize, AscentConfig.tolerance)
 
-    sweep = sub.add_parser("sweep", help="stability scan at codimension q")
+    sweep = add_command("sweep", "stability scan at codimension q", cmd_sweep)
     sweep.add_argument("--q", type=positive, required=True)
     sweep.add_argument("--n-min", dest="n_min", type=size, required=True)
     sweep.add_argument("--n-max", dest="n_max", type=size, required=True)
     sweep.add_argument("--restarts", type=positive, default=6)
-    sweep.set_defaults(run=cmd_sweep)
     add_run(sweep, AscentConfig.tolerance)
 
-    bound = sub.add_parser("bounds", help="print projection volume bounds")
+    bound = add_command("bounds", "print projection volume bounds", cmd_bounds)
     bound.add_argument("--n-min", dest="n_min", type=size, required=True)
     bound.add_argument("--n-max", dest="n_max", type=size, required=True)
     bound.add_argument("--k", type=positive, default=None)
-    bound.set_defaults(run=cmd_bounds)
     add_output(bound)
-    for command in sub.choices.values():
-        command.set_defaults(usage_error=command.error)
     return parser
 
 
 def _validate(args: argparse.Namespace) -> None:
     """Check the rules between options; each option's own range is its argparse type."""
-    error = args.usage_error  # the subcommand's own parser reports the usage line
+    error = args.usage_error
     if args.command in ("verify", "maximize") and args.k > args.n:
         error(f"need k <= n, got n={args.n}, k={args.k}")
     if args.command == "sweep" and args.q >= args.n_min:

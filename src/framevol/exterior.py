@@ -8,10 +8,11 @@ minor forms d_S(i), and residuals for the tight-frame identities
 (cross-product tightness, unit decompositions at every level, the
 volume identity P_I = sum of P_T over T containing I, and the
 Lagrange/complement identity P_L = P_perp over the complementary set).
-Each identity residual covers all of a frame's index sets at once: the
-Lagrange identity with one stacked determinant per side, the volume identity
-with stacked Gram determinants against squared minors, and cross-product
-tightness and the unit decompositions from the minor kernel via compounds.
+Each identity has one private kernel, from an (m, n, k) stack of frames to
+their m residuals over all index sets; its per-frame function calls it on a
+stack of one, the CLI trials on blocks.  The Lagrange and volume identities
+use stacked determinants, cross-product tightness and the unit decompositions
+the minor kernel via compounds.
 
 Every minor comes from one kernel, ``_minors``: the determinants of the
 rows of an (n, k) array over its C(n, k) ascending k-subsets.  They are the
@@ -39,12 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb, fsum
+from math import comb, fsum, prod
 from typing import Sequence
 
 import numpy as np
 
-from .frames import EmptyComplementError, Frame, _require_tight, gram_projection
+from .frames import EmptyComplementError, Frame, _require_tight
 
 # Dense random forms per level checked by hodge_defining_residual.
 _HODGE_DENSE_TRIALS = 4
@@ -189,26 +190,24 @@ def compound_matrix(matrix: np.ndarray, level: int) -> np.ndarray:
     """Matrix of all level x level minors, rows/columns in lex subset order.
 
     Entry [rank I, rank J] is det(M[I, J]); this is the matrix of the
-    level-th exterior power, so compounds multiply (Cauchy-Binet).
+    level-th exterior power, so compounds multiply (Cauchy-Binet).  An
+    (..., a, b) stack gives the compound of each of its matrices.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    a, b = m.shape
+    stack = np.asarray(matrix, dtype=float)
+    if stack.ndim < 2:
+        raise ValueError("expected a 2-d matrix or a stack of them")
+    a, b = stack.shape[-2:]
     if not 0 <= level <= min(a, b):
         raise ValueError(f"level must lie in [0, {min(a, b)}], got {level}")
     rows = _subset_array(a, level)
-    cols = comb(b, level)
-    out = np.empty((len(rows), cols))
+    out = np.empty(stack.shape[:-2] + (len(rows), comb(b, level)))
     # Row-chunked so the recursion's temporaries stay bounded: per row, level j
     # holds b * C(b, j-1) products and the j * C(b, j) terms gathered from them.
-    per_row = max(
-        (b * comb(b, j - 1) + j * comb(b, j) for j in range(2, level + 1)), default=1
-    )
-    chunk = max(1, 2_000_000 // per_row)
+    per_row = max((b * comb(b, j - 1) + j * comb(b, j) for j in range(2, level + 1)), default=1)
+    chunk = max(1, 2_000_000 // (per_row * prod(stack.shape[:-2])))
     for start in range(0, len(rows), chunk):
-        samples = m[rows[start : start + chunk]]  # (c, level, b)
-        out[start : start + chunk] = _minors(np.swapaxes(samples, 1, 2))
+        samples = stack[..., rows[start : start + chunk], :]  # (..., c, level, b)
+        out[..., start : start + chunk, :] = _minors(np.swapaxes(samples, -1, -2))
     return out
 
 
@@ -265,6 +264,12 @@ def subset_minors(frame: Frame) -> np.ndarray:
     return _minors(frame.vectors)
 
 
+def _gram_defect(w: np.ndarray) -> np.ndarray:
+    """||w^T w - I||_F of each matrix of an (m, a, b) stack, summed as np.linalg.norm sums one."""
+    defect = (np.swapaxes(w, 1, 2) @ w - np.eye(w.shape[-1])).reshape(len(w), 1, -1)
+    return np.sqrt((defect @ np.swapaxes(defect, 1, 2))[:, 0, 0])
+
+
 def verify_cross_tight(frame: Frame) -> float:
     """Residual of Theorem-of-cross-products tightness at every (k-1)-tuple.
 
@@ -272,9 +277,14 @@ def verify_cross_tight(frame: Frame) -> float:
     rounding) exactly when the frame is tight.
     """
     _require_tight(frame)
+    return float(_cross_tight(frame.vectors[None])[0])
+
+
+def _cross_tight(vectors: np.ndarray) -> np.ndarray:
+    """verify_cross_tight of each frame of an (m, n, k) stack."""
+    k = vectors.shape[-1]
     # [v_J] is the Hodge star of row J of the (k-1)-compound, the wedge of v_J.
-    crosses = _star(compound_matrix(frame.vectors, frame.k - 1), frame.k, frame.k - 1)
-    return float(np.linalg.norm(crosses.T @ crosses - np.eye(frame.k)))
+    return _gram_defect(_star(compound_matrix(vectors, k - 1), k, k - 1))
 
 
 def unit_decomposition_residual(frame: Frame, level: int) -> float:
@@ -286,8 +296,12 @@ def unit_decomposition_residual(frame: Frame, level: int) -> float:
     _require_tight(frame)
     if not 1 <= level <= frame.k:
         raise ValueError(f"level must lie in [1, {frame.k}], got {level}")
-    w = compound_matrix(frame.vectors, level)
-    return float(np.linalg.norm(w.T @ w - np.eye(comb(frame.k, level))))
+    return float(_unit_decomposition(frame.vectors[None], level)[0])
+
+
+def _unit_decomposition(vectors: np.ndarray, level: int) -> np.ndarray:
+    """unit_decomposition_residual of each frame of an (m, n, k) stack."""
+    return _gram_defect(compound_matrix(vectors, level))
 
 
 def volume_identity_residual(frame: Frame, size: int) -> float:
@@ -297,18 +311,24 @@ def volume_identity_residual(frame: Frame, size: int) -> float:
     squared minor d_S(M)^2.  Each sum is exactly rounded (fsum).
     """
     _require_tight(frame)
-    n, k = frame.n, frame.k
-    if not 0 <= size <= k:
-        raise ValueError(f"index size must lie in [0, {k}], got {size}")
+    if not 0 <= size <= frame.k:
+        raise ValueError(f"index size must lie in [0, {frame.k}], got {size}")
+    return float(_volume_identity(frame.vectors[None], size)[0])
+
+
+def _volume_identity(vectors: np.ndarray, size: int) -> np.ndarray:
+    """volume_identity_residual of each frame of an (m, n, k) stack."""
+    n, k = vectors.shape[1:]
     rows = _subset_array(n, size)
-    sub = frame.vectors[rows]  # (C(n, size), size, k)
-    gram_dets = np.linalg.det(sub @ np.swapaxes(sub, 1, 2))
-    squares = subset_minors(frame) ** 2
+    sub = vectors[:, rows]  # (m, C(n, size), size, k)
+    gram_dets = np.linalg.det(sub @ np.swapaxes(sub, -1, -2))
     member = (_subset_array(n, k)[:, :, None] == np.arange(n)).any(axis=1)  # (C(n, k), n)
-    # containing[t, r]: the t-th k-subset holds every element of the r-th size-subset.
-    containing = member[:, rows].all(axis=2)
-    totals = [fsum(squares[mask].tolist()) for mask in containing.T]
-    return float(np.max(np.abs(gram_dets - totals)))
+    # Row r: the C(n - size, k - size) k-subsets that hold the r-th size-subset.
+    tops = np.nonzero(member[:, rows].all(axis=2).T)[1].reshape(len(rows), -1)
+    # Frame by frame: on a stack, the minor kernel's last sums may round differently.
+    squares = np.array([_minors(frame) for frame in vectors]) ** 2
+    totals = [[fsum(terms) for terms in frame] for frame in squares[:, tops].tolist()]
+    return np.max(np.abs(gram_dets - totals), axis=1)
 
 
 def lagrange_residual(frame: Frame) -> float:
@@ -318,16 +338,21 @@ def lagrange_residual(frame: Frame) -> float:
     (n-k) x (n-k) minor of I_n - P; requires n > k.  Complementation reverses
     lex order, so the r-th k-subset pairs with the (C-1-r)-th (n-k)-subset.
     """
-    n, k = frame.n, frame.k
-    if n == k:
+    if frame.n == frame.k:
         raise EmptyComplementError("Lagrange identity needs n > k")
-    proj = gram_projection(frame)
-    rows = _subset_array(n, k)
-    p_l = np.linalg.det(proj[rows[:, :, None], rows[:, None, :]])
+    _require_tight(frame)
+    return float(_lagrange(frame.vectors[None])[0])
+
+
+def _lagrange(vectors: np.ndarray) -> np.ndarray:
+    """lagrange_residual of each frame of an (m, n, k) stack with n > k."""
+    n, k = vectors.shape[1:]
+    proj = vectors @ np.swapaxes(vectors, 1, 2)  # the Gram projections
+    rows, complement = _subset_array(n, k), _subset_array(n, n - k)[::-1]
+    p_l = np.linalg.det(proj[:, rows[:, :, None], rows[:, None, :]])
     perp = np.eye(n) - proj
-    complement = _subset_array(n, n - k)[::-1]
-    p_perp = np.linalg.det(perp[complement[:, :, None], complement[:, None, :]])
-    return float(np.max(np.abs(p_l - p_perp)))
+    p_perp = np.linalg.det(perp[:, complement[:, :, None], complement[:, None, :]])
+    return np.max(np.abs(p_l - p_perp), axis=1)
 
 
 def hodge_defining_residual(n: int) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +78,8 @@ class AscentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+        tol = self.tolerance
+        if isinstance(tol, bool) or not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
             raise ValueError("tolerance must be finite and positive")
         if not (isinstance(self.restarts, Integral) and self.restarts >= 1):
             raise ValueError("restarts must be an integer >= 1")
@@ -312,16 +313,24 @@ def determinant_expansion_check(frame: TightFrame, directions: np.ndarray) -> De
     directions = np.asarray(directions, dtype=float)
     if directions.shape != frame.vectors.shape:
         raise ValueError("directions must match the frame shape")
-    expected = 2.0 * float(np.sum(directions * frame.vectors))
+    for t in _EXPANSION_STEPS:
+        Frame(frame.vectors + t * directions)  # each perturbed frame must be a frame
+    fit = _expansion_fit(frame.vectors[None], directions[None])[0].tolist()
+    return DetExpansionCheck(*fit[:3], tuple(fit[3:]))
+
+
+def _expansion_fit(vectors: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """determinant_expansion_check of each frame of (m, n, k) stacks, one row per frame.
+
+    Checks no perturbed frame: for tight frames and ||X||_F <= 1, every singular
+    value of V + t X is at least 1 - t (Weyl), so all of them span R^k.
+    """
+    expected = 2.0 * np.sum(directions * vectors, axis=(1, 2))
     ts = np.array(_EXPANSION_STEPS)
-    values = np.array(
-        [
-            float(np.linalg.det(frame_operator(Frame(frame.vectors + t * directions))))
-            for t in ts
-        ]
-    )
-    coeffs = np.polyfit(ts, values - 1.0, 2)
-    first_order = float(coeffs[1])
-    rel = abs(first_order - expected) / max(abs(expected), np.finfo(float).tiny)
-    ratios = tuple(float(abs(v - 1.0 - expected * t) / (t * t)) for v, t in zip(values, ts))
-    return DetExpansionCheck(first_order, expected, rel, ratios)
+    moved = vectors[:, None] + ts[:, None, None] * directions[:, None]  # (m, steps, n, k)
+    operator = np.swapaxes(moved, -1, -2) @ moved
+    values = np.linalg.det(0.5 * (operator + np.swapaxes(operator, -1, -2)))  # frame_operator
+    first_order = np.polyfit(ts, values.T - 1.0, 2)[1]
+    rel = np.abs(first_order - expected) / np.maximum(np.abs(expected), np.finfo(float).tiny)
+    ratios = np.abs(values - 1.0 - expected[:, None] * ts) / (ts * ts)
+    return np.column_stack([first_order, expected, rel, ratios])

@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exterior import Form, _minors, _owner_first_minors
-from .frames import Frame, _complement_basis, _require_tight, complement_frame
+from .exterior import Form, _gram_defect, _minors, _owner_first_minors
+from .frames import DEFAULT_TIGHT_TOL, EmptyComplementError, Frame, NotTightError
+from .frames import _complement_basis, _require_tight
 
 # Minors below this fraction of the largest minor count as exact zeros for
 # sign purposes; maximizers have all minors bounded away from zero, so the
@@ -113,9 +114,20 @@ def hyperplane_projection_volume(frame: Frame, i: int) -> float:
 def mcmullen_check(frame: Frame) -> McMullenCheck:
     """Volumes of a tight frame and its complement frame, which must agree."""
     _require_tight(frame)
-    primal = volume(frame)
-    dual = volume(complement_frame(frame))
+    if frame.n == frame.k:
+        raise EmptyComplementError("complement of a basis (n == k) is empty")
+    primal, dual = _mcmullen_volumes(frame.vectors[None])[:, 0].tolist()
     return McMullenCheck(primal, dual, abs(primal - dual))
+
+
+def _mcmullen_volumes(vectors: np.ndarray) -> np.ndarray:
+    """Volumes of an (m, n, k) stack of tight frames, n > k, and of complement_frame of each."""
+    dual = np.linalg.qr(vectors, mode="complete")[0][..., vectors.shape[-1] :]
+    worst = np.max(_gram_defect(dual))  # tightness within DEFAULT_TIGHT_TOL implies full rank
+    if not worst <= DEFAULT_TIGHT_TOL:
+        raise NotTightError(f"tightness residual {worst:.3e} exceeds {DEFAULT_TIGHT_TOL:.1e}")
+    # Frame by frame: on a stack, the minor kernel's last sums may round differently.
+    return np.array([[_evaluate(frame)[1] for frame in side] for side in (vectors, dual)])
 
 
 def unit_ball_volume(dim: int) -> float:

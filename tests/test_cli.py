@@ -158,6 +158,11 @@ def test_sweep_usage_error():
         ["bounds", "--n-min", "2", "--n-max", "4", "--k", "0"],
         ["bounds", "--n-min", "2", "--n-max", "4", "--k", "9"],
         ["bounds", "--n-min", "2", "--n-max", "4", "--seed", "1"],
+        # Option prefixes are refused, not expanded.
+        ["sweep", "--q", "1", "--n-mi", "3", "--n-ma", "3", "--rest", "1", "--form", "csv"],
+        ["verify", "--n", "3", "--k", "2", "--tri", "1"],
+        ["maximize", "--n", "3", "--k", "2", "--rest", "1"],
+        ["bounds", "--n-min", "2", "--n-max", "4", "--fo", "csv"],
     ],
 )
 def test_bad_option_values_are_usage_errors(argv, capsys):

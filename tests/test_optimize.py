@@ -325,8 +325,8 @@ def test_ascend_config_validation():
         with pytest.raises(ValueError):
             AscentConfig(restarts=3, seed=seed)
     assert AscentConfig(restarts=np.int64(2), seed=np.int64(0)).restarts == 2
-    for tolerance in (-1.0, 0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+    for tolerance in (-1.0, 0.0, float("nan"), float("inf"), "1e-8", None, True):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             AscentConfig(tolerance=tolerance)
 
 
