@@ -8,11 +8,14 @@ The rows are the median and quartiles, in seconds, of
 
 - each public identity function on one seeded tight frame, at every shape
   of ``SHAPES``;
+- the minor kernel ``_minors`` on one frame and on a stack of 7 frames, and
+  ``compound_matrix(V, k - 1)`` of one frame, at every shape of
+  ``KERNEL_SHAPES``;
 - ``run_identity_trials(8, 4, 60, seed)``, the trials ``framevol verify``
   runs;
 - fresh interpreters running ``python -c pass``, ``import numpy``,
-  ``import framevol.cli`` and ``framevol verify --n 8 --k 4 --trials 60``,
-  so start-up shows apart from the work.
+  ``import framevol.cli``, ``framevol verify --n 8 --k 4 --trials 60`` and
+  ``framevol verify --n 14 --k 7``, so start-up shows apart from the work.
 
 An in-process repeat loops its call until it lasts ``MIN_REPEAT_S`` and
 reports the time per call, after one call that fills the caches.  The
@@ -20,7 +23,8 @@ header records the machine, Python, numpy, the BLAS thread cap and the
 repeat count.  The script imports framevol from ``PYTHONPATH``, so the same
 script measures any checkout, and its interpreters get that framevol too.
 ``--compare`` prints each row's median against the median in an earlier
-file.  BLAS and OpenMP are capped at one thread unless the environment
+file, and lists with ``-`` the rows of the earlier file that the new one
+lacks.  BLAS and OpenMP are capped at one thread unless the environment
 already sets a cap.
 """
 
@@ -39,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SHAPES = ((6, 3), (8, 4), (12, 6), (14, 7))
+KERNEL_SHAPES = ((8, 4), (13, 6), (14, 7))
 REPEATS = 11
 MIN_REPEAT_S = 0.02
 TRIALS = (8, 4, 60, 7)  # run_identity_trials(n, k, trials, seed)
@@ -49,6 +54,7 @@ CLI_ROWS = {
     "framevol verify --n 8 --k 4 --trials 60": [
         "-m", "framevol", "verify", "--n", "8", "--k", "4", "--trials", "60",
     ],
+    "framevol verify --n 14 --k 7": ["-m", "framevol", "verify", "--n", "14", "--k", "7"],
 }
 
 
@@ -120,6 +126,22 @@ def identity_calls(n: int, k: int) -> dict:
     return {f"{name} at ({n},{k})": call for name, call in calls.items()}
 
 
+def kernel_calls(n: int, k: int) -> dict:
+    """The minor kernel on one frame and on a stack of 7, and one (k-1)-compound, by row name."""
+    import numpy as np
+
+    from framevol.exterior import _minors, compound_matrix
+
+    stack = np.random.default_rng((n, k)).standard_normal((7, n, k))
+    frame = stack[0].copy()
+    calls = {
+        "_minors": lambda: _minors(frame),
+        "_minors, 7 frames": lambda: _minors(stack),
+        "compound_matrix(V, k-1)": lambda: compound_matrix(frame, k - 1),
+    }
+    return {f"{name} at ({n},{k})": call for name, call in calls.items()}
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as handle:
@@ -138,10 +160,12 @@ def measure(label: str) -> dict:
     import framevol
     from framevol.cli import run_identity_trials
 
-    rows = {}
+    calls = {}
     for n, k in SHAPES:
-        for name, call in identity_calls(n, k).items():
-            rows[name] = time_call(call, REPEATS)
+        calls.update(identity_calls(n, k))
+    for n, k in KERNEL_SHAPES:
+        calls.update(kernel_calls(n, k))
+    rows = {name: time_call(call, REPEATS) for name, call in calls.items()}
     rows["run_identity_trials(%d,%d,%d)" % TRIALS[:3]] = time_call(
         lambda: run_identity_trials(*TRIALS), REPEATS
     )
@@ -164,7 +188,7 @@ def measure(label: str) -> dict:
 
 
 def compare(new: dict, old: dict) -> list[str]:
-    """One line per row of ``new``: the old and new medians and their ratio."""
+    """One line per row of either file: the old and new medians and their ratio."""
     lines = [f"{'row':<56} {'old_s':>11} {'new_s':>11} {'new/old':>8}"]
     for name, row in new["rows"].items():
         before = old["rows"].get(name)
@@ -175,6 +199,9 @@ def compare(new: dict, old: dict) -> list[str]:
         lines.append(
             f"{name:<56} {before['median_s']:>11.3e} {row['median_s']:>11.3e} {ratio:>8.3f}"
         )
+    for name, row in old["rows"].items():
+        if name not in new["rows"]:
+            lines.append(f"{name:<56} {row['median_s']:>11.3e} {'-':>11} {'-':>8}")
     return lines
 
 

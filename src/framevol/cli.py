@@ -25,13 +25,14 @@ import numpy as np
 
 from .exterior import (
     _cross_tight,
+    _gram_defect,
     _lagrange,
     _unit_decomposition,
     _volume_identity,
     compound_matrix,
     hodge_defining_residual,
 )
-from .frames import frame_document, is_tight, random_tight_frame
+from .frames import frame_document, random_tight_frame
 from .optimize import AscentConfig, OptimizationResult, _expansion_fit, ascend, stability_scan
 from .zonotope import _mcmullen_volumes, bounds
 
@@ -100,10 +101,10 @@ def run_identity_trials(
         for trial in range(start, min(start + block, trials)):
             rng = np.random.default_rng((seed, n, k, trial))
             frame = random_tight_frame(n, k, rng)
-            bump("tightness", [is_tight(frame).residual])
             frames.append(frame.vectors)
             directions.append(_expansion_directions(frame, rng))
         vectors = np.stack(frames)
+        bump("tightness", _gram_defect(vectors))
         bump("cross_tight", _cross_tight(vectors))
         if k >= 2:
             bump("unit_decomposition_l2", _unit_decomposition(vectors, 2))

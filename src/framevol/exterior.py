@@ -9,18 +9,17 @@ minor forms d_S(i), and residuals for the tight-frame identities
 volume identity P_I = sum of P_T over T containing I, and the
 Lagrange/complement identity P_L = P_perp over the complementary set).
 Each identity has one private kernel, from an (m, n, k) stack of frames to
-their m residuals over all index sets; its per-frame function calls it on a
-stack of one, the CLI trials on blocks.  The Lagrange and volume identities
-use stacked determinants, cross-product tightness and the unit decompositions
-the minor kernel via compounds.
+their m residuals; its per-frame function calls it on a stack of one, the CLI
+trials on blocks, and a frame reads the same residual bit for bit either way.
 
 Every minor comes from one kernel, ``_minors``: the determinants of the
-rows of an (n, k) array over its C(n, k) ascending k-subsets.  They are the
-coordinates of c_1 ^ ... ^ c_k for the columns c_j, built one column at a
-time by Laplace expansion, with no LU factorization.  Wedge coordinates and
-compounds are minors of a transpose, the cross product is
-star(x_1 ^ ... ^ x_{k-1}), and det(v_i, v_J) is gathered from the subset
-minors as (-1)^#{j in J : j < i} d(J u {i}).
+rows of an (n, k) array over its C(n, k) ascending k-subsets, for a lone
+frame or each frame of a stack alike.  They are the coordinates of
+c_1 ^ ... ^ c_k for the columns c_j, built one column at a time by Laplace
+expansion, with no LU factorization.  Wedge coordinates and compounds are
+minors of a transpose, the cross product is star(x_1 ^ ... ^ x_{k-1}), and
+det(v_i, v_J) is gathered from the subset minors as
+(-1)^#{j in J : j < i} d(J u {i}).
 
 Subset tables come from ``_subset_array`` and closed forms, never from a
 rank lookup: complementation reverses lex order, so the star is a sign
@@ -119,15 +118,16 @@ def _minors(vectors: np.ndarray) -> np.ndarray:
     first j columns are the coordinates of c_1 ^ ... ^ c_j, so each level
     follows from the last by Laplace expansion along column j-1:
     d_j(L) = sum_p (-1)^(p+j-1) V[l_p, j-1] d_(j-1)(L minus l_p).
+    ``take`` gathers C-contiguous terms, so a stack rounds like its frames alone.
     """
-    n, k = vectors.shape[-2:]
+    *lead, n, k = vectors.shape
     if k == 0:
-        return np.ones(vectors.shape[:-2] + (1,))
+        return np.ones((*lead, 1))
     minors = vectors[..., 0].copy()
     for j in range(2, k + 1):
         flat, signs = _laplace_table(n, j)
         products = vectors[..., j - 1, None] * minors[..., None, :]
-        minors = products.reshape(products.shape[:-2] + (-1,))[..., flat] @ signs
+        minors = products.reshape(*lead, n * comb(n, j - 1)).take(flat, axis=-1) @ signs
     return minors
 
 
@@ -204,7 +204,7 @@ def compound_matrix(matrix: np.ndarray, level: int) -> np.ndarray:
     # Row-chunked so the recursion's temporaries stay bounded: per row, level j
     # holds b * C(b, j-1) products and the j * C(b, j) terms gathered from them.
     per_row = max((b * comb(b, j - 1) + j * comb(b, j) for j in range(2, level + 1)), default=1)
-    chunk = max(1, 2_000_000 // (per_row * prod(stack.shape[:-2])))
+    chunk = max(1, 2_000_000 // (per_row * max(1, prod(stack.shape[:-2]))))
     for start in range(0, len(rows), chunk):
         samples = stack[..., rows[start : start + chunk], :]  # (..., c, level, b)
         out[..., start : start + chunk, :] = _minors(np.swapaxes(samples, -1, -2))
@@ -325,8 +325,7 @@ def _volume_identity(vectors: np.ndarray, size: int) -> np.ndarray:
     member = (_subset_array(n, k)[:, :, None] == np.arange(n)).any(axis=1)  # (C(n, k), n)
     # Row r: the C(n - size, k - size) k-subsets that hold the r-th size-subset.
     tops = np.nonzero(member[:, rows].all(axis=2).T)[1].reshape(len(rows), -1)
-    # Frame by frame: on a stack, the minor kernel's last sums may round differently.
-    squares = np.array([_minors(frame) for frame in vectors]) ** 2
+    squares = _minors(vectors) ** 2
     totals = [[fsum(terms) for terms in frame] for frame in squares[:, tops].tolist()]
     return np.max(np.abs(gram_dets - totals), axis=1)
 

@@ -139,8 +139,8 @@ def gram_projection(frame: Frame) -> np.ndarray:
 
 
 def _complement_basis(columns: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(columns)^perp: the trailing columns of a complete QR."""
-    return np.linalg.qr(columns, mode="complete")[0][:, columns.shape[1]:]
+    """Orthonormal basis of span(columns)^perp for each (n, k) matrix: the tail of a complete QR."""
+    return np.linalg.qr(columns, mode="complete")[0][..., columns.shape[-1]:]
 
 
 def lift_to_basis(frame: Frame) -> np.ndarray:

@@ -122,12 +122,12 @@ def mcmullen_check(frame: Frame) -> McMullenCheck:
 
 def _mcmullen_volumes(vectors: np.ndarray) -> np.ndarray:
     """Volumes of an (m, n, k) stack of tight frames, n > k, and of complement_frame of each."""
-    dual = np.linalg.qr(vectors, mode="complete")[0][..., vectors.shape[-1] :]
+    dual = _complement_basis(vectors)
     worst = np.max(_gram_defect(dual))  # tightness within DEFAULT_TIGHT_TOL implies full rank
     if not worst <= DEFAULT_TIGHT_TOL:
         raise NotTightError(f"tightness residual {worst:.3e} exceeds {DEFAULT_TIGHT_TOL:.1e}")
-    # Frame by frame: on a stack, the minor kernel's last sums may round differently.
-    return np.array([[_evaluate(frame)[1] for frame in side] for side in (vectors, dual)])
+    sides = (np.abs(_minors(side)).tolist() for side in (vectors, dual))
+    return np.array([[fsum(frame) for frame in side] for side in sides])
 
 
 def unit_ball_volume(dim: int) -> float:

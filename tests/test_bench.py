@@ -15,6 +15,7 @@ def bench(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "SHAPES", ((6, 3),))
+    monkeypatch.setattr(module, "KERNEL_SHAPES", ((6, 3),))
     monkeypatch.setattr(module, "REPEATS", 1)
     monkeypatch.setattr(module, "CLI_ROWS", {})
     for var in module.BLAS_VARS:  # main() sets missing caps; keep them out of this process
@@ -37,6 +38,7 @@ def test_bench_writes_its_schema(bench, tmp_path):
         "volume_identity_residual(1)", "volume_identity_residual(2)", "lagrange_residual",
         "mcmullen_check", "determinant_expansion_check",
     ]
+    functions += ["_minors", "_minors, 7 frames", "compound_matrix(V, k-1)"]
     expected = [f"{name} at (6,3)" for name in functions] + ["run_identity_trials(8,4,60)"]
     assert list(doc["rows"]) == expected
     for row in doc["rows"].values():
@@ -47,3 +49,8 @@ def test_bench_writes_its_schema(bench, tmp_path):
     lines = bench.compare(doc, doc)
     assert len(lines) == 1 + len(expected)
     assert all(line.split()[-1] == "1.000" for line in lines[1:])
+
+    old = {"rows": {"dropped row": {"median_s": 2.0}, **doc["rows"]}}
+    lines = bench.compare(doc, old)
+    assert len(lines) == 2 + len(expected)
+    assert lines[-1].split() == ["dropped", "row", "2.000e+00", "-", "-"]

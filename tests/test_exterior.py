@@ -228,6 +228,11 @@ def test_compound_validation():
         compound_matrix(np.eye(3), 4)
 
 
+def test_compound_of_an_empty_stack_is_empty():
+    assert compound_matrix(np.zeros((0, 3, 3)), 2).shape == (0, 3, 3)
+    assert compound_matrix(np.zeros((2, 0, 4, 3)), 3).shape == (2, 0, 4, 1)
+
+
 # ---------------------------------------------------------------- inner product
 
 

@@ -2,7 +2,8 @@
 
 Each identity has one private kernel over an (m, n, k) stack of frames; the
 public per-frame function calls it on a stack of one and the CLI's identity
-trials call it on blocks of frames, so both must read the same residuals.
+trials call it on blocks of frames, so both must read the same residuals,
+bit for bit: the minor kernel rounds a stack like its frames alone.
 """
 
 import tracemalloc
@@ -14,8 +15,10 @@ from framevol import cli
 from framevol.exterior import (
     _cross_tight,
     _lagrange,
+    _minors,
     _unit_decomposition,
     _volume_identity,
+    compound_matrix,
     lagrange_residual,
     unit_decomposition_residual,
     verify_cross_tight,
@@ -33,10 +36,7 @@ from framevol.optimize import _expansion_fit, determinant_expansion_check
 from framevol.zonotope import _mcmullen_volumes, mcmullen_check
 
 SHAPES = [(3, 1), (5, 5), (6, 3), (7, 6), (8, 4), (10, 3)]
-
-
-def close(stacked, per_frame):
-    np.testing.assert_allclose(stacked, per_frame, rtol=0.0, atol=1e-15)
+same = np.testing.assert_array_equal
 
 
 @pytest.mark.parametrize("n, k", SHAPES)
@@ -47,23 +47,34 @@ def test_kernels_match_per_frame_functions(n, k):
     directions = rng.standard_normal(vectors.shape)
     directions /= np.linalg.norm(directions, axis=(1, 2), keepdims=True)
 
-    close(_cross_tight(vectors), [verify_cross_tight(frame) for frame in frames])
+    same(_cross_tight(vectors), [verify_cross_tight(frame) for frame in frames])
     for level in range(1, k + 1):
         expected = [unit_decomposition_residual(frame, level) for frame in frames]
-        close(_unit_decomposition(vectors, level), expected)
+        same(_unit_decomposition(vectors, level), expected)
     for size in range(k + 1):
         expected = [volume_identity_residual(frame, size) for frame in frames]
-        close(_volume_identity(vectors, size), expected)
+        same(_volume_identity(vectors, size), expected)
     checks = [determinant_expansion_check(f, x) for f, x in zip(frames, directions)]
     fits = _expansion_fit(vectors, directions)
-    close(fits[:, :3], [[c.first_order, c.expected, c.relative_error] for c in checks])
-    close(fits[:, 3:], [c.quadratic_ratios for c in checks])
+    same(fits[:, :3], [[c.first_order, c.expected, c.relative_error] for c in checks])
+    same(fits[:, 3:], [c.quadratic_ratios for c in checks])
     if n > k:
-        close(_lagrange(vectors), [lagrange_residual(frame) for frame in frames])
+        same(_lagrange(vectors), [lagrange_residual(frame) for frame in frames])
         duality = [mcmullen_check(frame) for frame in frames]
         volumes = _mcmullen_volumes(vectors)
-        close(volumes, [[c.volume for c in duality], [c.dual_volume for c in duality]])
-        close(np.abs(volumes[0] - volumes[1]), [c.gap for c in duality])
+        same(volumes, [[c.volume for c in duality], [c.dual_volume for c in duality]])
+        same(np.abs(volumes[0] - volumes[1]), [c.gap for c in duality])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_a_stack_rounds_like_its_matrices_alone(n):
+    stack = np.random.default_rng((6, n)).standard_normal((7, n, n))
+    minors = _minors(stack)
+    compounds = [compound_matrix(stack, level) for level in range(n + 1)]
+    for i, matrix in enumerate(stack):
+        same(minors[i], _minors(matrix))
+        for level, compound in enumerate(compounds):
+            same(compound[i], compound_matrix(matrix, level))
 
 
 def test_per_frame_functions_keep_their_errors():
@@ -84,19 +95,26 @@ def test_per_frame_functions_keep_their_errors():
         determinant_expansion_check(square, -1e3 * np.diag([1.0, 0.0, 0.0]))
 
 
+def runs_by_block_size(monkeypatch, *args) -> list:
+    """run_identity_trials(*args) with one frame per block, then every frame in one block."""
+    runs = []
+    for budget in (1, 10**6):
+        monkeypatch.setattr(cli, "_BLOCK_ENTRIES", budget)
+        runs.append(cli.run_identity_trials(*args))
+    return runs
+
+
 @pytest.mark.parametrize("trials", [1, 7, 9, 17])
 @pytest.mark.parametrize("n, k", [(8, 4), (5, 5)])
 def test_identity_trials_do_not_depend_on_the_block_size(monkeypatch, n, k, trials):
-    runs = []
-    for budget in (1, 10**6):  # one frame per block; every frame in one block
-        monkeypatch.setattr(cli, "_BLOCK_ENTRIES", budget)
-        runs.append(cli.run_identity_trials(n, k, trials, 3))
-    (single, skipped_single), (whole, skipped_whole) = runs
-    assert skipped_single == skipped_whole
-    assert [(row[0], row[2], row[3]) for row in single] == [
-        (row[0], row[2], row[3]) for row in whole
-    ]
-    close([row[1] for row in single], [row[1] for row in whole])
+    single, whole = runs_by_block_size(monkeypatch, n, k, trials, 3)
+    assert single == whole
+
+
+def test_blocks_of_square_frames_round_like_single_frames(monkeypatch):
+    # At n = k the level-k compound of each frame is one minor, taken for a whole block at once.
+    single, whole = runs_by_block_size(monkeypatch, 5, 5, 17, 7)
+    assert single == whole
 
 
 def traced_peak_mib(*args) -> float:
