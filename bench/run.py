@@ -11,11 +11,14 @@ The rows are the median and quartiles, in seconds, of
 - the minor kernel ``_minors`` on one frame and on a stack of 7 frames, and
   ``compound_matrix(V, k - 1)`` of one frame, at every shape of
   ``KERNEL_SHAPES``;
+- the Hodge self-check ``hodge_defining_residual(n)`` at every n of
+  ``HODGE_SHAPES``;
 - ``run_identity_trials(8, 4, 60, seed)``, the trials ``framevol verify``
   runs;
 - fresh interpreters running ``python -c pass``, ``import numpy``,
-  ``import framevol.cli``, ``framevol verify --n 8 --k 4 --trials 60`` and
-  ``framevol verify --n 14 --k 7``, so start-up shows apart from the work.
+  ``import framevol.cli``, ``framevol verify --n 8 --k 4 --trials 60``,
+  ``framevol verify --n 14 --k 7`` and ``framevol verify --n 14 --k 2``, so
+  start-up shows apart from the work.
 
 An in-process repeat loops its call until it lasts ``MIN_REPEAT_S`` and
 reports the time per call, after one call that fills the caches.  The
@@ -24,8 +27,8 @@ repeat count.  The script imports framevol from ``PYTHONPATH``, so the same
 script measures any checkout, and its interpreters get that framevol too.
 ``--compare`` prints each row's median against the median in an earlier
 file, and lists with ``-`` the rows of the earlier file that the new one
-lacks.  BLAS and OpenMP are capped at one thread unless the environment
-already sets a cap.
+lacks; it reads that file before measuring anything.  BLAS and OpenMP are
+capped at one thread unless the environment already sets a cap.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SHAPES = ((6, 3), (8, 4), (12, 6), (14, 7))
 KERNEL_SHAPES = ((8, 4), (13, 6), (14, 7))
+HODGE_SHAPES = (8, 12, 14)
 REPEATS = 11
 MIN_REPEAT_S = 0.02
 TRIALS = (8, 4, 60, 7)  # run_identity_trials(n, k, trials, seed)
@@ -55,6 +59,7 @@ CLI_ROWS = {
         "-m", "framevol", "verify", "--n", "8", "--k", "4", "--trials", "60",
     ],
     "framevol verify --n 14 --k 7": ["-m", "framevol", "verify", "--n", "14", "--k", "7"],
+    "framevol verify --n 14 --k 2": ["-m", "framevol", "verify", "--n", "14", "--k", "2"],
 }
 
 
@@ -159,12 +164,15 @@ def measure(label: str) -> dict:
 
     import framevol
     from framevol.cli import run_identity_trials
+    from framevol.exterior import hodge_defining_residual
 
     calls = {}
     for n, k in SHAPES:
         calls.update(identity_calls(n, k))
     for n, k in KERNEL_SHAPES:
         calls.update(kernel_calls(n, k))
+    for n in HODGE_SHAPES:
+        calls[f"hodge_defining_residual({n})"] = lambda n=n: hodge_defining_residual(n)
     rows = {name: time_call(call, REPEATS) for name, call in calls.items()}
     rows["run_identity_trials(%d,%d,%d)" % TRIALS[:3]] = time_call(
         lambda: run_identity_trials(*TRIALS), REPEATS
@@ -211,14 +219,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, help="write here instead of the checkout root")
     parser.add_argument("--compare", type=Path, help="an earlier BENCH file to compare with")
     args = parser.parse_args(argv)
+    old = None
+    if args.compare is not None:
+        try:
+            old = json.loads(args.compare.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read --compare file: {exc}")
     for var in BLAS_VARS:  # before numpy loads, so this process gets the cap too
         os.environ.setdefault(var, "1")
     doc = measure(args.label)
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
-    if args.compare is not None:
-        old = json.loads(args.compare.read_text(encoding="utf-8"))
+    if old is not None:
         print(f"{args.label} against {old['label']} ({args.compare})")
         print("\n".join(compare(doc, old)))
     return 0

@@ -48,8 +48,6 @@ from .frames import EmptyComplementError, Frame, _require_tight
 
 # Dense random forms per level checked by hodge_defining_residual.
 _HODGE_DENSE_TRIALS = 4
-# Entries per row chunk of the identity that hodge_defining_residual stars at once.
-_HODGE_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -359,10 +357,11 @@ def hodge_defining_residual(n: int) -> float:
 
     Only e_{I^c} pairs with e_I into the top degree, with the sign of the
     permutation I . I^c, so the identity for every basis a = e_I at once
-    reads pairing * star(b)[C-1-r] = b[r].  It is checked for every basis
-    form b, in bounded row chunks of the identity, and for seeded dense
-    forms b.  The signs are permutation-matrix determinants, never the
-    star's sign formula, so the check is independent of it.
+    reads pairing * star(b)[C-1-r] = b[r].  Any wrong signed permutation
+    fails on the ramp b[r] = r + 1, by >= 2 for a flipped sign and >= 1 for a
+    misplaced entry; seeded dense forms b catch any other wrong linear map.
+    The pairing signs are permutation-matrix determinants, never the star's
+    sign formula, so the check is independent of it.
     """
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -371,9 +370,7 @@ def hodge_defining_residual(n: int) -> float:
         order = np.hstack([_subset_array(n, level), _subset_array(n, n - level)[::-1]])
         pairing = np.linalg.det(np.eye(n)[order])  # exactly +-1, or 0 if not a permutation
         dense = rng.standard_normal((_HODGE_DENSE_TRIALS, count))
-        rows = max(1, _HODGE_CHUNK_ENTRIES // count)
-        basis = (np.eye(min(rows, count - r), count, r) for r in range(0, count, rows))
-        for forms in chain([dense], basis):
-            star = _star(forms, n, level)[:, ::-1]
-            worst = max(worst, float(np.max(np.abs(pairing * star - forms))))
+        forms = np.vstack([np.arange(1.0, count + 1), dense])
+        star = _star(forms, n, level)[:, ::-1]
+        worst = max(worst, float(np.max(np.abs(pairing * star - forms))))
     return worst

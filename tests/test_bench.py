@@ -16,6 +16,7 @@ def bench(monkeypatch):
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "SHAPES", ((6, 3),))
     monkeypatch.setattr(module, "KERNEL_SHAPES", ((6, 3),))
+    monkeypatch.setattr(module, "HODGE_SHAPES", (6,))
     monkeypatch.setattr(module, "REPEATS", 1)
     monkeypatch.setattr(module, "CLI_ROWS", {})
     for var in module.BLAS_VARS:  # main() sets missing caps; keep them out of this process
@@ -39,7 +40,8 @@ def test_bench_writes_its_schema(bench, tmp_path):
         "mcmullen_check", "determinant_expansion_check",
     ]
     functions += ["_minors", "_minors, 7 frames", "compound_matrix(V, k-1)"]
-    expected = [f"{name} at (6,3)" for name in functions] + ["run_identity_trials(8,4,60)"]
+    expected = [f"{name} at (6,3)" for name in functions]
+    expected += ["hodge_defining_residual(6)", "run_identity_trials(8,4,60)"]
     assert list(doc["rows"]) == expected
     for row in doc["rows"].values():
         assert set(row) == {"median_s", "q1_s", "q3_s", "loops"}
@@ -54,3 +56,15 @@ def test_bench_writes_its_schema(bench, tmp_path):
     lines = bench.compare(doc, old)
     assert len(lines) == 2 + len(expected)
     assert lines[-1].split() == ["dropped", "row", "2.000e+00", "-", "-"]
+
+
+@pytest.mark.parametrize("content", [None, "not json"], ids=["missing", "unparsable"])
+def test_bench_rejects_a_bad_compare_file_before_measuring(bench, tmp_path, capsys, content):
+    out, old = tmp_path / "BENCH_smoke.json", tmp_path / "BENCH_old.json"
+    if content is not None:
+        old.write_text(content, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--label", "smoke", "--out", str(out), "--compare", str(old)])
+    assert exc.value.code == 2
+    assert "cannot read --compare file" in capsys.readouterr().err
+    assert not out.exists()

@@ -287,7 +287,7 @@ def test_hodge_defining_identity_small_n():
 
 
 def test_hodge_defining_check_memory_is_bounded():
-    # Basis forms are starred in bounded row chunks, never as one C(14, 7)^2 identity.
+    # Each level stars one ramp and a few dense forms, never a C(14, 7)^2 identity.
     tracemalloc.start()
     try:
         assert hodge_defining_residual(14) == 0.0
@@ -321,6 +321,90 @@ def test_hodge_defining_check_catches_swapped_complements(monkeypatch):
 
     monkeypatch.setattr(exterior, "_star", swapped)
     assert hodge_defining_residual(5) >= 1.0
+
+
+# Ablation gate: every mutation of the star below changes it, and the check must
+# report each one with a residual of at least 1.
+TRUE_SIGNS = exterior._star_signs
+TRUE_STAR = exterior._star
+
+
+def assert_every_mutation_caught(monkeypatch, mutations):
+    """Patch each (n, name, replacement) in turn; the star must change and the check see it."""
+    rng = np.random.default_rng(0)
+    for n, name, replacement in mutations:
+        with monkeypatch.context() as patch:
+            patch.setattr(exterior, name, replacement)
+            changed = False
+            for level in range(n + 1):
+                form = rng.standard_normal(comb(n, level))
+                true = TRUE_SIGNS(n, level)[::-1] * form[::-1]
+                changed |= not np.array_equal(exterior._star(form, n, level), true)
+            assert changed, (n, name)
+            assert hodge_defining_residual(n) >= 1.0, (n, name)
+
+
+def test_hodge_check_catches_each_flipped_sign(monkeypatch):
+    def flip(n, level, r):
+        def signs(m, lev):
+            out = np.array(TRUE_SIGNS(m, lev))
+            if (m, lev) == (n, level):
+                out[r] = -out[r]
+            return out
+
+        return signs
+
+    mutations = [
+        (n, "_star_signs", flip(n, level, r))
+        for n in range(1, 9)
+        for level in range(n + 1)
+        for r in range(comb(n, level))
+    ]
+    assert len(mutations) == 510
+    assert_every_mutation_caught(monkeypatch, mutations)
+
+
+def test_hodge_check_catches_each_transposed_coordinate(monkeypatch):
+    def transpose(n, level, i, j):
+        def star(coeffs, m, lev):
+            out = TRUE_STAR(coeffs, m, lev)
+            if (m, lev) == (n, level):
+                out[..., [i, j]] = out[..., [j, i]]
+            return out
+
+        return star
+
+    mutations = [
+        (n, "_star", transpose(n, level, i, j))
+        for n in range(1, 7)
+        for level in range(n + 1)
+        for i, j in combinations(range(comb(n, level)), 2)
+    ]
+    assert len(mutations) == 574
+    assert_every_mutation_caught(monkeypatch, mutations)
+
+
+def test_hodge_check_catches_sign_formulas_off_by_one_level(monkeypatch):
+    def shifted(shift):
+        def signs(n, level):
+            # C(level + shift, 2) as the polynomial x(x - 1)/2, defined at x = -1 too.
+            offset = (level + shift) * (level + shift - 1) // 2
+            inversions = exterior._subset_array(n, level).sum(axis=1) - offset
+            return np.where(inversions % 2, -1.0, 1.0)
+
+        return signs
+
+    mutations = [(n, "_star_signs", shifted(s)) for n in range(1, 15) for s in (-1, 1)]
+    assert_every_mutation_caught(monkeypatch, mutations)
+
+
+def test_hodge_check_catches_a_missing_reversal(monkeypatch):
+    def unreversed(coeffs, n, level):
+        return exterior._star_signs(n, level) * coeffs
+
+    # At n = 1 every level has one coordinate, so the reversal is a no-op there.
+    mutations = [(n, "_star", unreversed) for n in range(2, 15)]
+    assert_every_mutation_caught(monkeypatch, mutations)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -23,6 +23,7 @@ RUNS = {
     "verify_6_3": ["verify", "--n", "6", "--k", "3", "--trials", "50", "--seed", "1"],
     "verify_5_5_csv": ["verify", "--n", "5", "--k", "5", "--trials", "3", "--format", "csv"],
     "verify_6_3_violation": ["verify", "--n", "6", "--k", "3", "--trials", "5", "--tol", "1e-17"],
+    "verify_14_2": ["verify", "--n", "14", "--k", "2", "--trials", "3"],
     "maximize_3_2": ["maximize", "--n", "3", "--k", "2", "--restarts", "20", "--seed", "1"],
     "maximize_3_2_csv": [
         "maximize", "--n", "3", "--k", "2", "--restarts", "20", "--seed", "1", "--format", "csv",
